@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
+from math import inf
 from typing import Iterable, TextIO
 
 
@@ -30,7 +31,8 @@ class GraphHeader:
 
 
 class Graph:
-    """Immutable directed or undirected graph with non-negative edge weights.
+    """Immutable directed or undirected graph with finite non-negative edge
+    weights.
 
     Adjacency lists are kept sorted by neighbor id so that traversal order,
     and hence every tie-broken output downstream, is deterministic. For
@@ -46,7 +48,8 @@ class Graph:
         """Build a graph from canonical edges (one tuple per undirected edge).
 
         Raises ValueError on out-of-range ids, self-loops, duplicate edges,
-        negative weights, or non-unit weights in an unweighted graph.
+        negative or non-finite weights, or non-unit weights in an unweighted
+        graph.
         """
         if vertex_count < 0:
             raise ValueError("vertex_count must be non-negative")
@@ -60,10 +63,13 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}): vertex id out of range [0, {n})")
             if u == v:
                 raise ValueError(f"edge ({u}, {v}): self-loops are not allowed")
-            if w < 0:
+            if not weighted:
+                if w != 1:
+                    raise ValueError(f"edge ({u}, {v}): unweighted graph requires weight 1")
+            elif w < 0:
                 raise ValueError(f"edge ({u}, {v}): negative weight {w}")
-            if not weighted and w != 1:
-                raise ValueError(f"edge ({u}, {v}): unweighted graph requires weight 1")
+            elif not w < inf:   # also true for nan
+                raise ValueError(f"edge ({u}, {v}): non-finite weight {w}")
             w = float(w)
             if (u, v) in weight_of or (not directed and (v, u) in weight_of):
                 raise ValueError(f"edge ({u}, {v}): duplicate edge")
@@ -183,14 +189,16 @@ def load_graph(stream: TextIO | Iterable[str], largest_component: bool = False) 
                 w = float(parts[2])
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: malformed weight {parts[2]!r}")
+            if w < 0:
+                raise GraphFormatError(f"line {lineno}: negative weight {w}")
+            if not w < inf:     # nan, inf, or a literal such as 1e400 that overflows
+                raise GraphFormatError(f"line {lineno}: non-finite weight {parts[2]!r}")
         else:
             w = 1.0
         if not (0 <= u < header.n) or not (0 <= v < header.n):
             raise GraphFormatError(f"line {lineno}: vertex id out of range [0, {header.n})")
         if u == v:
             raise GraphFormatError(f"line {lineno}: self-loop at vertex {u}")
-        if w < 0:
-            raise GraphFormatError(f"line {lineno}: negative weight {w}")
         key = (u, v) if header.directed else (min(u, v), max(u, v))
         if key in seen:
             raise GraphFormatError(f"line {lineno}: duplicate edge ({u}, {v})")

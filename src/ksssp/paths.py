@@ -81,12 +81,6 @@ class Path:
             self._seq = tuple(out)
         return self._seq
 
-    def first(self) -> int:
-        node = self
-        while node.prev is not None:
-            node = node.prev
-        return node.last
-
     def __iter__(self):
         return iter(self.vertices())
 

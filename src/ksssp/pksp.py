@@ -3,6 +3,15 @@
 ``yen_pksp`` is used standalone by the per-target baseline solver and as the
 subroutine that completes collections for unsaturated vertices inside the
 bounded single-source solver.
+
+Yen's cost is its spur searches. On weighted graphs each call grows the
+target's reverse shortest-path tree once, lazily: only until the source is
+settled. A spur whose tree path avoids the spur's mask takes that path (the
+node-classification shortcut of Feng, Networks 2014, and of PNC, Al Zoobi,
+Coudert & Nisse, SEA 2020); any other spur runs A* with the tree distances as
+heuristic. Unweighted graphs keep an early-exit BFS per spur: guided there
+too, Yen sped the ``ss-yen`` baseline up more than the bounded solver, which
+then lost its lead over the baseline on unweighted ER at k=8.
 """
 from __future__ import annotations
 
@@ -40,98 +49,162 @@ class ShortestPathTree:
     parent: list[Optional[int]]
 
 
-def shortest_path_tree(graph: Graph, source: int) -> ShortestPathTree:
-    """Exact single-source distances and parents.
+def _search_tree(adj: list[list[tuple[int, float]]], weighted: bool, root: int,
+                 stop: Optional[int] = None,
+                 ) -> tuple[list[float], list[Optional[int]]]:
+    """Distances and tree parents from ``root`` over the adjacency lists ``adj``.
 
     Weighted graphs use Dijkstra on a binary heap; unweighted graphs use a
     breadth-first visit, which yields identical distances at unit weights.
-    Unreachable vertices keep dist=inf and no parent.
+    Unreached vertices keep dist=inf and no parent.
+
+    With ``stop``, the search ends as soon as ``stop`` is settled, at radius
+    R = dist[stop]. Every vertex with dist <= R then holds its exact distance
+    and a parent chain of settled vertices back to the root; every other
+    vertex is at least R away, whatever its (tentative or infinite) dist.
     """
-    graph._check_vertex(source)
-    n = graph.vertex_count
-    dist = [inf] * n
-    parent: list[Optional[int]] = [None] * n
-    dist[source] = 0.0
-    out_adj = graph.out_adj
-    if not graph.weighted:
-        queue = deque([source])
+    dist = [inf] * len(adj)
+    parent: list[Optional[int]] = [None] * len(adj)
+    dist[root] = 0.0
+    if not weighted:
+        queue = deque([root])
         while queue:
             u = queue.popleft()
-            du = dist[u]
-            for v, _ in out_adj[u]:
+            du = dist[u] + 1.0
+            for v, _ in adj[u]:
                 if dist[v] == inf:
-                    dist[v] = du + 1.0
+                    dist[v] = du
                     parent[v] = u
+                    if v == stop:
+                        return dist, parent
                     queue.append(v)
-    else:
-        heap = [(0.0, source)]
-        while heap:
-            du, u = heapq.heappop(heap)
-            if du > dist[u]:
-                continue
-            for v, w in out_adj[u]:
-                nd = du + w
-                if nd < dist[v]:
-                    dist[v] = nd
-                    parent[v] = u
-                    heapq.heappush(heap, (nd, v))
+        return dist, parent
+    heap = [(0.0, root)]
+    while heap:
+        du, u = heapq.heappop(heap)
+        if u == stop:
+            break
+        if du > dist[u]:
+            continue
+        for v, w in adj[u]:
+            nd = du + w
+            if nd < dist[v]:
+                dist[v] = nd
+                parent[v] = u
+                heapq.heappush(heap, (nd, v))
+    return dist, parent
+
+
+def shortest_path_tree(graph: Graph, source: int) -> ShortestPathTree:
+    """Exact single-source distances and parents (Dijkstra, or BFS when
+    unweighted). Unreachable vertices keep dist=inf and no parent."""
+    graph._check_vertex(source)
+    dist, parent = _search_tree(graph.out_adj, graph.weighted, source)
     return ShortestPathTree(source, dist, parent)
 
 
-def _masked_shortest_path(graph: Graph, source: int, target: int,
-                          removed_vertices: set[int],
-                          removed_arcs: set[tuple[int, int]],
-                          ) -> Optional[tuple[float, tuple[int, ...]]]:
-    """Shortest source->target path ignoring masked vertices and arcs.
+SpurPath = Optional[tuple[float, tuple[int, ...]]]
+
+
+def _masked_bfs(graph: Graph, source: int, target: int,
+                removed_vertices: set[int], removed_arcs: set[tuple[int, int]],
+                ) -> SpurPath:
+    """Fewest-arc source->target path of an unweighted graph, ignoring masked
+    vertices and arcs; stops as soon as target is labelled.
 
     Returns (weight, vertex sequence) or None when target is unreachable.
     Masking on the original adjacency avoids materializing subgraph copies.
     """
-    n = graph.vertex_count
-    dist = [inf] * n
-    parent = [-1] * n
+    dist = [inf] * graph.vertex_count
+    parent = [-1] * graph.vertex_count
     dist[source] = 0.0
     out_adj = graph.out_adj
-    if not graph.weighted:
-        queue = deque([source])
-        found = False
-        while queue and not found:
-            u = queue.popleft()
-            du = dist[u]
-            for v, _ in out_adj[u]:
-                if dist[v] == inf and v not in removed_vertices \
-                        and (u, v) not in removed_arcs:
-                    dist[v] = du + 1.0
-                    parent[v] = u
-                    if v == target:
-                        found = True
-                        break
-                    queue.append(v)
-        if dist[target] == inf:
-            return None
-    else:
-        heap = [(0.0, source)]
-        while heap:
-            du, u = heapq.heappop(heap)
-            if u == target:
-                break
-            if du > dist[u]:
-                continue
-            for v, w in out_adj[u]:
-                if v in removed_vertices or (u, v) in removed_arcs:
-                    continue
-                nd = du + w
-                if nd < dist[v]:
-                    dist[v] = nd
-                    parent[v] = u
-                    heapq.heappush(heap, (nd, v))
-        if dist[target] == inf:
-            return None
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        du = dist[u] + 1.0
+        for v, _ in out_adj[u]:
+            if dist[v] == inf and v not in removed_vertices \
+                    and (u, v) not in removed_arcs:
+                dist[v] = du
+                parent[v] = u
+                if v == target:
+                    return du, _trace_back(parent, source, target)
+                queue.append(v)
+    return None
+
+
+def _trace_back(parent: list[int] | dict[int, int], source: int,
+                target: int) -> tuple[int, ...]:
     seq = [target]
     while seq[-1] != source:
         seq.append(parent[seq[-1]])
     seq.reverse()
-    return dist[target], tuple(seq)
+    return tuple(seq)
+
+
+class _GuidedSpurSearch:
+    """Masked shortest paths into ``target`` of a weighted graph.
+
+    The reverse tree stops at radius R = d(source, target), so h(v) =
+    min(dist[v], R) is an admissible and consistent lower bound on
+    d(v, target). A tree path that avoids the mask is still shortest, since
+    masking only raises distances. A* keys are (g + h, -g, v): among equal
+    estimates the entry nearer the target goes first.
+    """
+
+    __slots__ = ("out_adj", "target", "radius", "dist", "succ", "h")
+
+    def __init__(self, graph: Graph, source: int, target: int):
+        self.out_adj = graph.out_adj
+        self.target = target
+        self.dist, self.succ = _search_tree(graph.in_adj, True, target,
+                                            stop=source)
+        radius = self.radius = self.dist[source]
+        self.h = [d if d < radius else radius for d in self.dist]
+
+    def __call__(self, spur: int, removed_vertices: set[int],
+                 removed_arcs: set[tuple[int, int]]) -> SpurPath:
+        """Shortest spur->target path avoiding the mask, or None."""
+        target = self.target
+        if self.dist[spur] <= self.radius < inf:
+            succ = self.succ
+            seq = [spur]
+            u = spur
+            while u != target:
+                v = succ[u]
+                if v in removed_vertices or (u, v) in removed_arcs:
+                    break
+                seq.append(v)
+                u = v
+            else:
+                return self.dist[spur], tuple(seq)
+        return self._astar(spur, removed_vertices, removed_arcs)
+
+    def _astar(self, source: int, removed_vertices: set[int],
+               removed_arcs: set[tuple[int, int]]) -> SpurPath:
+        target = self.target
+        out_adj = self.out_adj
+        h = self.h
+        g = {source: 0.0}
+        parent: dict[int, int] = {}
+        heap = [(h[source], -0.0, source)]
+        while heap:
+            _, neg_gu, u = heapq.heappop(heap)
+            gu = -neg_gu
+            if gu > g[u]:
+                continue
+            if u == target:
+                return gu, _trace_back(parent, source, target)
+            for v, w in out_adj[u]:
+                if v in removed_vertices or (u, v) in removed_arcs:
+                    continue
+                nd = gu + w
+                if nd < g.get(v, inf):
+                    g[v] = nd
+                    parent[v] = u
+                    heapq.heappush(heap, (nd + h[v], -nd, v))
+        return None
 
 
 def yen_pksp(graph: Graph, query: PkspQuery) -> PathCollection:
@@ -144,13 +217,22 @@ def yen_pksp(graph: Graph, query: PkspQuery) -> PathCollection:
     at each path's own deviation index, which provably covers the same
     candidate space as restarting from the first vertex.
 
+    Spur searches are guided by the target's reverse shortest-path tree on
+    weighted graphs and are early-exit BFS runs on unweighted ones (see the
+    module docstring).
+
     Returns all simple paths, sorted, when fewer than k exist; an unreachable
     target yields an empty collection.
     """
     s, t, k = query.source, query.target, query.k
     graph._check_vertex(s)
     graph._check_vertex(t)
-    first = _masked_shortest_path(graph, s, t, set(), set())
+    if graph.weighted:
+        spur_path = _GuidedSpurSearch(graph, s, t)
+    else:
+        def spur_path(spur, removed_vertices, removed_arcs):
+            return _masked_bfs(graph, spur, t, removed_vertices, removed_arcs)
+    first = spur_path(s, set(), set())
     if first is None:
         return PathCollection(s, t, [])
     undirected = not graph.directed
@@ -177,8 +259,7 @@ def yen_pksp(graph: Graph, query: PkspQuery) -> PathCollection:
                     removed_arcs.add((aseq[i], aseq[i + 1]))
                     if undirected:
                         removed_arcs.add((aseq[i + 1], aseq[i]))
-            spur_found = _masked_shortest_path(graph, spur, t,
-                                               removed_vertices, removed_arcs)
+            spur_found = spur_path(spur, removed_vertices, removed_arcs)
             if spur_found is None:
                 continue
             spur_weight, spur_seq = spur_found

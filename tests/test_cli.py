@@ -54,6 +54,13 @@ class TestSolve:
         assert main(["solve", "--graph", str(bad), "--root", "0",
                      "--k", "1"]) == EXIT_IO
 
+    def test_non_finite_weight_is_io_error(self, tmp_path, capsys):
+        bad = tmp_path / "nan.ksp"
+        bad.write_text("p ksp 2 1 1 1\n0 1 nan\n")
+        assert main(["solve", "--graph", str(bad), "--root", "0",
+                     "--k", "1"]) == EXIT_IO
+        assert "line 2" in capsys.readouterr().err
+
     def test_bad_root_is_config_error(self, triangle_file, capsys):
         assert main(["solve", "--graph", triangle_file, "--root", "9",
                      "--k", "1"]) == EXIT_CONFIG

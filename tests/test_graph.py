@@ -43,6 +43,11 @@ class TestLoadGraph:
         with pytest.raises(GraphFormatError, match="line 2.*negative"):
             load("p ksp 2 1 1 1\n0 1 -3.0\n")
 
+    @pytest.mark.parametrize("literal", ["nan", "inf", "-nan", "1e400", "Infinity"])
+    def test_non_finite_weight_reports_line(self, literal):
+        with pytest.raises(GraphFormatError, match=f"line 3.*non-finite.*{literal}"):
+            load(f"p ksp 3 2 1 1\n0 1 1.0\n1 2 {literal}\n")
+
     def test_vertex_out_of_range(self):
         with pytest.raises(GraphFormatError, match="line 2.*out of range"):
             load("p ksp 2 1 1 1\n0 5 1.0\n")
@@ -83,6 +88,13 @@ class TestLoadGraph:
         g = load_graph(io.StringIO(text), largest_component=True)
         assert g.vertex_count == 3
         assert g.edge_count == 3
+
+
+class TestGraphInit:
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_non_finite_weight_rejected(self, weight):
+        with pytest.raises(ValueError, match="non-finite"):
+            Graph(2, True, True, [(0, 1, weight)])
 
 
 class TestNeighbors:

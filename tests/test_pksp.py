@@ -6,7 +6,8 @@ import pytest
 from ksssp import (Graph, Path, PathCollection, PkspQuery, ReconcileError,
                    gen_erdos_renyi, profile, reconcile_with_existing,
                    shortest_path_tree, yen_pksp, yen_subroutine)
-from util import bellman_ford, oracle_pair_topk, random_cases
+from ksssp.pksp import _GuidedSpurSearch, _search_tree
+from util import bellman_ford, masked_dijkstra, oracle_pair_topk, random_cases
 
 TRIANGLE = Graph(3, True, True, [(0, 1, 2.0), (1, 2, 3.0), (0, 2, 10.0)])
 
@@ -53,6 +54,24 @@ class TestShortestPathTree:
         as_weighted = Graph(30, True, True, edges)
         assert shortest_path_tree(unweighted, 4).dist == \
             shortest_path_tree(as_weighted, 4).dist
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_stop_keeps_exact_distances_within_radius(self, weighted):
+        for seed in range(20):
+            g = gen_erdos_renyi(40, 90, weighted=weighted, directed=True,
+                                seed=seed)
+            full, _ = _search_tree(g.in_adj, weighted, 0)
+            for stop in range(1, 40, 7):
+                dist, parent = _search_tree(g.in_adj, weighted, 0, stop=stop)
+                radius = dist[stop]
+                assert radius == full[stop]
+                for v in range(40):
+                    if dist[v] <= radius:
+                        assert dist[v] == full[v]
+                        if v != 0 and dist[v] < inf:
+                            assert dist[parent[v]] <= radius
+                    else:
+                        assert full[v] >= radius
 
 
 class TestQuery:
@@ -128,6 +147,110 @@ class TestYen:
             assert all(len(set(s)) == len(s) for s in seqs)
             weights = [p.weight for p in col.entries]
             assert weights == sorted(weights)
+
+
+def random_weighted_graph(rng, directed):
+    """Small graph with integer weights 0..4, so zero-weight arcs and weight
+    ties are common and every path weight is exact."""
+    n = rng.randint(2, 14)
+    pairs = [(u, v) for u in range(n) for v in range(n)
+             if u != v and (directed or u < v)]
+    picked = rng.sample(pairs, rng.randint(0, min(len(pairs), 3 * n)))
+    return Graph(n, directed, True, [(u, v, float(rng.randint(0, 4)))
+                                     for u, v in picked])
+
+
+def tree_path(search, spur, target):
+    seq = [spur]
+    while seq[-1] != target:
+        seq.append(search.succ[seq[-1]])
+    return seq
+
+
+def random_mask(rng, graph, spur, target, search):
+    """Random masked vertices and arcs; half the time the mask also cuts the
+    spur's reverse-tree path (at a vertex or at an arc) when it has one."""
+    others = [v for v in range(graph.vertex_count) if v not in (spur, target)]
+    removed_vertices = set(rng.sample(others, rng.randint(0, len(others) // 2)))
+    arcs = [(u, v) for u in range(graph.vertex_count)
+            for v, _ in graph.out_adj[u]]
+    removed_arcs = set(rng.sample(arcs, rng.randint(0, len(arcs) // 4)))
+    if search.dist[spur] <= search.radius < inf and rng.random() < 0.5:
+        path = tree_path(search, spur, target)
+        if len(path) > 2 and rng.random() < 0.5:
+            removed_vertices.add(rng.choice(path[1:-1]))
+        else:
+            i = rng.randrange(len(path) - 1)
+            removed_arcs.add((path[i], path[i + 1]))
+    return removed_vertices, removed_arcs
+
+
+class TestGuidedSpurSearch:
+    """The reverse-tree shortcut and A* against a plain masked Dijkstra."""
+
+    def check(self, search, graph, spur, target, removed_vertices,
+              removed_arcs):
+        want = masked_dijkstra(graph, spur, target, removed_vertices,
+                               removed_arcs)
+        got = search(spur, removed_vertices, removed_arcs)
+        if want == inf:
+            assert got is None
+            return
+        weight, seq = got
+        assert weight == want
+        assert seq[0] == spur and seq[-1] == target
+        assert len(set(seq)) == len(seq)
+        assert not removed_vertices & set(seq)
+        arcs = list(zip(seq, seq[1:]))
+        assert not removed_arcs & set(arcs)
+        assert sum(graph.edge_weight(u, v) for u, v in arcs) == weight
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_matches_masked_dijkstra(self, directed):
+        rng = random.Random(2014 + directed)
+        for _ in range(300):
+            graph = random_weighted_graph(rng, directed)
+            n = graph.vertex_count
+            source, target = rng.sample(range(n), 2)
+            search = _GuidedSpurSearch(graph, source, target)
+            for spur in range(n):
+                if spur == target:
+                    continue
+                mask = random_mask(rng, graph, spur, target, search)
+                self.check(search, graph, spur, target, *mask)
+                self.check(search, graph, spur, target, set(), set())
+
+    def test_unreachable_only_after_masking(self):
+        # 0->1->3 and 0->2->3; masking both arcs into 3 cuts it off
+        g = Graph(4, True, True, [(0, 1, 1.0), (1, 3, 0.0), (0, 2, 2.0),
+                                  (2, 3, 0.0)])
+        assert _GuidedSpurSearch(g, 0, 3)(0, set(), {(1, 3), (2, 3)}) is None
+        assert _GuidedSpurSearch(g, 0, 3)(0, {1, 2}, set()) is None
+        assert _GuidedSpurSearch(g, 0, 3)(0, {1}, set()) == (2.0, (0, 2, 3))
+
+    def test_unreachable_target(self):
+        g = Graph(4, True, True, [(0, 1, 1.0), (1, 2, 1.0), (3, 0, 1.0)])
+        search = _GuidedSpurSearch(g, 0, 3)
+        assert search.radius == inf
+        for spur in (0, 1, 2):
+            assert search(spur, set(), set()) is None
+
+    def test_yen_matches_brute_force_weighted(self):
+        rng = random.Random(88)
+        done = 0
+        for graph, root, _ in random_cases(120, seed=2020, max_n=22):
+            if not graph.weighted:
+                continue
+            target = rng.randrange(graph.vertex_count)
+            if target == root:
+                target = (root + 1) % graph.vertex_count
+            k = rng.randint(1, 8)
+            col = yen_pksp(graph, PkspQuery(root, target, k))
+            want = oracle_pair_topk(graph, root, target, k)
+            assert profile(col) == tuple(w for w, _ in want)
+            assert len({p.vertices() for p in col.entries}) == len(want)
+            done += 1
+        assert done >= 50
 
 
 def tie_fixture():

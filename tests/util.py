@@ -1,6 +1,7 @@
 """Shared test helpers: independent oracles and deterministic random corpora."""
 from __future__ import annotations
 
+import heapq
 import random
 from math import inf
 from typing import Iterator
@@ -29,6 +30,28 @@ def bellman_ford(graph: Graph, source: int) -> list[float]:
         if not changed:
             break
     return dist
+
+
+def masked_dijkstra(graph: Graph, source: int, target: int,
+                    removed_vertices: set[int],
+                    removed_arcs: set[tuple[int, int]]) -> float:
+    """Plain Dijkstra distance source->target with vertices and arcs masked;
+    inf when the mask cuts target off. The reference for spur searches."""
+    dist = {source: 0.0}
+    heap = [(0.0, source)]
+    done: set[int] = set()
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in done:
+            continue
+        done.add(u)
+        for v, w in graph.out_adj[u]:
+            if v in removed_vertices or (u, v) in removed_arcs:
+                continue
+            if d + w < dist.get(v, inf):
+                dist[v] = d + w
+                heapq.heappush(heap, (d + w, v))
+    return dist.get(target, inf)
 
 
 def oracle_profiles(graph: Graph, root: int, k: int,
