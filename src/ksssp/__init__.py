@@ -9,12 +9,10 @@ from .graph import (DetourLadder, DoublingLadder, Graph, GraphFormatError,
                     gen_barabasi_albert, gen_erdos_renyi, gen_exh_adversarial,
                     gen_pruned_adversarial, induced_subgraph, load_graph,
                     load_graph_file)
-from .paths import (Path, PathCollection, Profile, compare_profiles, concat,
-                    contains_vertex, extend, is_prefix, is_simple, profile,
-                    render_path)
-from .pksp import (PkspQuery, ReconcileError, ShortestPathTree,
-                   reconcile_with_existing, shortest_path_tree, yen_pksp,
-                   yen_subroutine)
+from .paths import (Path, PathCollection, Profile, contains_vertex, extend,
+                    is_simple, profile, render_path)
+from .pksp import (ReconcileError, ShortestPathTree, reconcile_with_existing,
+                   shortest_path_tree, yen_pksp)
 from .ssksp import (DEFAULT_ENUMERATION_CAP, EnumerationCapExceeded,
                     PredecessorClosure, QueueInvariantError, RankedPathQueue,
                     RunStats, SolverState, SsKsspSolution, bounded_ssksp,
@@ -31,12 +29,10 @@ __all__ = [
     "gen_barabasi_albert", "gen_erdos_renyi", "gen_exh_adversarial",
     "gen_pruned_adversarial", "induced_subgraph", "load_graph",
     "load_graph_file",
-    "Path", "PathCollection", "Profile", "compare_profiles", "concat",
-    "contains_vertex", "extend", "is_prefix", "is_simple", "profile",
-    "render_path",
-    "PkspQuery", "ReconcileError", "ShortestPathTree",
-    "reconcile_with_existing", "shortest_path_tree", "yen_pksp",
-    "yen_subroutine",
+    "Path", "PathCollection", "Profile", "contains_vertex", "extend",
+    "is_simple", "profile", "render_path",
+    "ReconcileError", "ShortestPathTree", "reconcile_with_existing",
+    "shortest_path_tree", "yen_pksp",
     "DEFAULT_ENUMERATION_CAP", "EnumerationCapExceeded", "PredecessorClosure",
     "QueueInvariantError", "RankedPathQueue", "RunStats", "SolverState",
     "SsKsspSolution", "bounded_ssksp", "collection_violations",

@@ -92,13 +92,6 @@ def profile_digest(solution: SsKsspSolution) -> str:
     return h.hexdigest()[:16]
 
 
-def _validate_query(graph: Graph, root: int, k: int) -> None:
-    if not (0 <= root < graph.vertex_count):
-        raise ConfigError(f"root {root} out of range [0, {graph.vertex_count})")
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-
-
 def run_solve(graph: Graph, root: int, k: int, algo: str, force: bool = False,
               fmt: str = "tsv", cap: int = DEFAULT_ENUMERATION_CAP) -> list[str]:
     """Run one solver and render its solution as output lines."""
@@ -140,7 +133,6 @@ def run_verify(graph: Graph, root: int, k: int, algos: Sequence[str],
     for name in algos:
         if name not in solvers:
             raise ConfigError(f"unknown algorithm {name!r}")
-    _validate_query(graph, root, k)
     lines = []
     by_name: dict[str, dict[int, tuple[float, ...]]] = {}
     violations: list[str] = []

@@ -70,7 +70,11 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}): negative weight {w}")
             elif not w < inf:   # also true for nan
                 raise ValueError(f"edge ({u}, {v}): non-finite weight {w}")
-            w = float(w)
+            try:
+                w = float(w)
+            except OverflowError:   # an int beyond the float range
+                raise ValueError(f"edge ({u}, {v}): non-finite weight: "
+                                 f"too large for a float") from None
             if (u, v) in weight_of or (not directed and (v, u) in weight_of):
                 raise ValueError(f"edge ({u}, {v}): duplicate edge")
             weight_of[(u, v)] = w

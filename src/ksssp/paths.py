@@ -119,21 +119,6 @@ class Path:
         return f"Path({'-'.join(map(str, self.vertices()))}, w={self.weight!r})"
 
 
-def concat(p1: Path, p2: Path, graph: "Graph") -> Path:
-    """Concatenation of p1 and p2, which must meet at p1's last vertex.
-
-    The result repeats the junction vertex only once and need not be simple.
-    """
-    verts2 = p2.vertices()
-    if p1.last != verts2[0]:
-        raise ValueError(f"cannot concatenate: path ends at {p1.last}, "
-                         f"next starts at {verts2[0]}")
-    out = p1
-    for u in verts2[1:]:
-        out = extend(out, u, graph)
-    return out
-
-
 def extend(path: Path, u: int, graph: "Graph") -> Path:
     """One-vertex extension over the edge (last(path), u)."""
     w = graph.edge_weight(path.last, u)
@@ -159,13 +144,6 @@ def contains_vertex(path: Path, u: int) -> bool:
     return False
 
 
-def is_prefix(p1: Path, p2: Path) -> bool:
-    """Whether p2's sequence begins with p1's (every path prefixes itself)."""
-    if p1.length > p2.length:
-        return False
-    return p2.vertices()[:p1.length] == p1.vertices()
-
-
 @dataclass
 class PathCollection:
     """Ordered collection of simple paths between one endpoint pair."""
@@ -183,18 +161,6 @@ class PathCollection:
 def profile(collection: PathCollection) -> Profile:
     """Non-decreasing list of the collection's path weights."""
     return tuple(sorted(p.weight for p in collection.entries))
-
-
-def compare_profiles(a: Profile, b: Profile) -> int:
-    """Lexicographic order; a proper prefix compares less than its extension.
-
-    Returns -1, 0, or 1.
-    """
-    if a < b:
-        return -1
-    if a > b:
-        return 1
-    return 0
 
 
 def render_path(path: Path) -> str:

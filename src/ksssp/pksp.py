@@ -1,8 +1,9 @@
 """Single-pair machinery: shortest-path trees and Yen's top-k simple paths.
 
-``yen_pksp`` is used standalone by the per-target baseline solver and as the
-subroutine that completes collections for unsaturated vertices inside the
-bounded single-source solver.
+``yen_pksp(graph, source, target, k)`` is used standalone by the per-target
+baseline solver and, with the same signature, as the default subroutine that
+completes collections for unsaturated vertices inside the bounded
+single-source solver.
 
 Yen's cost is its spur searches. On weighted graphs each call grows the
 target's reverse shortest-path tree once, lazily: only until the source is
@@ -27,19 +28,6 @@ from .paths import Path, PathCollection, profile
 
 class ReconcileError(RuntimeError):
     """Collection reconciliation precondition failed: an internal solver bug."""
-
-
-@dataclass(frozen=True)
-class PkspQuery:
-    source: int
-    target: int
-    k: int
-
-    def __post_init__(self):
-        if self.source == self.target:
-            raise ValueError("source and target must differ")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
 
 
 @dataclass
@@ -207,7 +195,7 @@ class _GuidedSpurSearch:
         return None
 
 
-def yen_pksp(graph: Graph, query: PkspQuery) -> PathCollection:
+def yen_pksp(graph: Graph, source: int, target: int, k: int) -> PathCollection:
     """Top-k simple shortest paths for one vertex pair.
 
     Shortest path first; every accepted path then spawns spur deviations with
@@ -222,19 +210,24 @@ def yen_pksp(graph: Graph, query: PkspQuery) -> PathCollection:
     module docstring).
 
     Returns all simple paths, sorted, when fewer than k exist; an unreachable
-    target yields an empty collection.
+    target yields an empty collection. Raises ValueError on an out-of-range
+    vertex, source == target or k < 1.
     """
-    s, t, k = query.source, query.target, query.k
-    graph._check_vertex(s)
-    graph._check_vertex(t)
+    graph._check_vertex(source)
+    graph._check_vertex(target)
+    if source == target:
+        raise ValueError("source and target must differ")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if graph.weighted:
-        spur_path = _GuidedSpurSearch(graph, s, t)
+        spur_path = _GuidedSpurSearch(graph, source, target)
     else:
         def spur_path(spur, removed_vertices, removed_arcs):
-            return _masked_bfs(graph, spur, t, removed_vertices, removed_arcs)
-    first = spur_path(s, set(), set())
+            return _masked_bfs(graph, spur, target, removed_vertices,
+                               removed_arcs)
+    first = spur_path(source, set(), set())
     if first is None:
-        return PathCollection(s, t, [])
+        return PathCollection(source, target, [])
     undirected = not graph.directed
     accepted: list[tuple[float, tuple[int, ...]]] = []
     pushed: set[tuple[int, ...]] = {first[1]}
@@ -270,12 +263,7 @@ def yen_pksp(graph: Graph, query: PkspQuery) -> PathCollection:
             heapq.heappush(heap, (prefix_weight[i] + spur_weight,
                                   len(candidate), candidate, i))
     entries = [Path.from_vertices(graph, seq) for _, seq in accepted]
-    return PathCollection(s, t, entries)
-
-
-def yen_subroutine(graph: Graph, source: int, target: int, k: int) -> PathCollection:
-    """Adapter with the bare (graph, source, target, k) subroutine signature."""
-    return yen_pksp(graph, PkspQuery(source, target, k))
+    return PathCollection(source, target, entries)
 
 
 def reconcile_with_existing(full: PathCollection,

@@ -1,8 +1,9 @@
 """Single-source top-k simple shortest path solvers.
 
-Three solvers share one engine shape: a min-priority queue of simple paths
-from the root, dequeued in non-decreasing weight, with per-vertex collections
-T_v filled by the first k arrivals.
+Three solvers run one queue engine: a min-priority queue of simple paths from
+the root, dequeued in non-decreasing weight, with per-vertex collections T_v
+filled by the first k arrivals. Each solver passes the engine a guard that
+decides whether a dequeued path is extended.
 
 - ``exh_ssksp``      extends every dequeued path; exhaustive, can blow up
                      exponentially on ladder-shaped inputs.
@@ -27,7 +28,7 @@ from typing import Callable, Iterator, Optional
 
 from .graph import Graph
 from .paths import Path, PathCollection, Profile, is_simple, profile
-from .pksp import PkspQuery, reconcile_with_existing, yen_pksp, yen_subroutine
+from .pksp import reconcile_with_existing, yen_pksp
 
 PkspSubroutine = Callable[[Graph, int, int, int], PathCollection]
 ProgressCallback = Callable[[int, int], None]
@@ -129,13 +130,16 @@ class PredecessorClosure:
     """General-predecessor set of a vertex relative to a finished solution."""
     anchor: int
     members: frozenset[int]
-    predecessors: dict[int, frozenset[int]]   # direct predecessor set per member
 
 
-def _init_state(graph: Graph, root: int, k: int) -> SolverState:
+def _check_query(graph: Graph, root: int, k: int) -> None:
     graph._check_vertex(root)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+
+
+def _init_state(graph: Graph, root: int, k: int) -> SolverState:
+    _check_query(graph, root, k)
     n = graph.vertex_count
     queue = RankedPathQueue()
     queue.enqueue(Path.single(root))
@@ -150,39 +154,60 @@ def _init_state(graph: Graph, root: int, k: int) -> SolverState:
     )
 
 
-def _record_dequeue(state: SolverState, path: Path, last_weight: float,
-                    progress: Optional[ProgressCallback]) -> float:
-    stats = state.stats
-    stats.dequeues += 1
-    if path.weight < last_weight:
-        stats.monotone_dequeues = False
-    if progress is not None:
-        progress(stats.dequeues, state.unsaturated_count)
-    return path.weight
-
-
-def _append_if_unsaturated(state: SolverState, path: Path) -> None:
-    v = path.last
-    bucket = state.paths_to[v]
-    if len(bucket) < state.k:
-        bucket.append(path)
-        state.vertices_on[v].update(path.vertices())
-        if len(bucket) == state.k and v != state.root:
-            state.unsaturated_count -= 1
-
-
 def _count_insertion(stats: RunStats, terminal: int) -> None:
     by_terminal = stats.insertions_by_terminal
     by_terminal[terminal] = by_terminal.get(terminal, 0) + 1
 
 
-def _finish(graph: Graph, state: SolverState) -> SsKsspSolution:
-    state.stats.peak_queue_size = state.queue.peak_size
-    collections = {
-        v: PathCollection(state.root, v, list(state.paths_to[v]))
-        for v in range(graph.vertex_count) if v != state.root
-    }
-    return SsKsspSolution(state.root, state.k, collections, state.stats)
+def _run_queue(graph: Graph, root: int, k: int,
+               progress: Optional[ProgressCallback],
+               extend: Callable[[Path, SolverState], bool]) -> SsKsspSolution:
+    """The queue engine of the three queue-driven solvers.
+
+    Dequeues paths in tie-break order until every vertex other than the root
+    is saturated or the queue is empty, and appends each dequeued path to T_v
+    of its endpoint v while |T_v| < k. ``extend(path, state)`` decides whether
+    the path is extended; it runs before the append, so it sees T_v without
+    the path. A child skips the path's own vertices, super-saturated vertices
+    and paths already queued. While only the root is super-saturated, the last
+    two skip nothing: the root lies on every path, and a path is enqueued only
+    by its one parent prefix, which is dequeued once.
+    """
+    state = _init_state(graph, root, k)
+    stats = state.stats
+    queue = state.queue
+    paths_to = state.paths_to
+    super_saturated = state.super_saturated
+    out_adj = graph.out_adj
+    last_weight = -inf
+    while len(queue) and state.unsaturated_count > 0:
+        path = queue.dequeue_min()
+        stats.dequeues += 1
+        if path.weight < last_weight:
+            stats.monotone_dequeues = False
+        last_weight = path.weight
+        if progress is not None:
+            progress(stats.dequeues, state.unsaturated_count)
+        v = path.last
+        if extend(path, state):
+            on_path = set(path.vertices())
+            for u, w in out_adj[v]:
+                if u not in on_path and u not in super_saturated:
+                    child = path.extend_to(u, w)
+                    if child not in queue:
+                        queue.enqueue(child)
+                        stats.normal_insertions += 1
+                        _count_insertion(stats, u)
+        bucket = paths_to[v]
+        if len(bucket) < k:
+            bucket.append(path)
+            state.vertices_on[v].update(path.vertices())
+            if len(bucket) == k and v != root:
+                state.unsaturated_count -= 1
+    stats.peak_queue_size = queue.peak_size
+    collections = {v: PathCollection(root, v, list(paths_to[v]))
+                   for v in range(graph.vertex_count) if v != root}
+    return SsKsspSolution(root, k, collections, stats)
 
 
 def exh_ssksp(graph: Graph, root: int, k: int,
@@ -193,22 +218,7 @@ def exh_ssksp(graph: Graph, root: int, k: int,
     runs until the queue is exhausted, so the number of insertions can reach
     the total number of simple paths in the graph.
     """
-    state = _init_state(graph, root, k)
-    stats = state.stats
-    queue = state.queue
-    last_weight = -inf
-    while len(queue) and state.unsaturated_count > 0:
-        path = queue.dequeue_min()
-        last_weight = _record_dequeue(state, path, last_weight, progress)
-        v = path.last
-        on_path = set(path.vertices())
-        for u, w in graph.out_adj[v]:
-            if u not in on_path:
-                queue.enqueue(path.extend_to(u, w))
-                stats.normal_insertions += 1
-                _count_insertion(stats, u)
-        _append_if_unsaturated(state, path)
-    return _finish(graph, state)
+    return _run_queue(graph, root, k, progress, lambda path, state: True)
 
 
 def pruning_test(v: int, graph: Graph, state: SolverState,
@@ -248,23 +258,11 @@ def pruned_ssksp(graph: Graph, root: int, k: int,
     root from the saturation check, so it would otherwise prune the entire
     search on its first step.
     """
-    state = _init_state(graph, root, k)
-    stats = state.stats
-    queue = state.queue
-    last_weight = -inf
-    while len(queue) and state.unsaturated_count > 0:
-        path = queue.dequeue_min()
-        last_weight = _record_dequeue(state, path, last_weight, progress)
-        v = path.last
-        if path.length == 1 or not pruning_test(v, graph, state, root, k):
-            on_path = set(path.vertices())
-            for u, w in graph.out_adj[v]:
-                if u not in on_path:
-                    queue.enqueue(path.extend_to(u, w))
-                    stats.normal_insertions += 1
-                    _count_insertion(stats, u)
-        _append_if_unsaturated(state, path)
-    return _finish(graph, state)
+    def extend(path: Path, state: SolverState) -> bool:
+        return path.length == 1 or not pruning_test(path.last, graph, state,
+                                                    root, k)
+
+    return _run_queue(graph, root, k, progress, extend)
 
 
 def super_saturate(v: int, graph: Graph, state: SolverState, root: int, k: int,
@@ -328,56 +326,37 @@ def bounded_ssksp(graph: Graph, root: int, k: int,
     not yet super-saturated endpoint is dequeued again, completes its whole
     predecessor closure via ``super_saturate`` instead of extending. Normal
     insertions are at most k per arc and exceptional insertions at most k per
-    vertex; the subroutine runs at most once per vertex.
+    vertex; the subroutine runs at most once per vertex. ``pksp`` defaults to
+    ``yen_pksp``.
     """
     if pksp is None:
-        pksp = yen_subroutine
-    state = _init_state(graph, root, k)
-    stats = state.stats
-    queue = state.queue
-    super_saturated = state.super_saturated
-    last_weight = -inf
-    while len(queue) and state.unsaturated_count > 0:
-        path = queue.dequeue_min()
-        last_weight = _record_dequeue(state, path, last_weight, progress)
+        pksp = yen_pksp
+
+    def extend(path: Path, state: SolverState) -> bool:
         v = path.last
-        bucket = state.paths_to[v]
-        if len(bucket) < k:
-            bucket.append(path)
-            state.vertices_on[v].update(path.vertices())
-            if len(bucket) == k and v != root:
-                state.unsaturated_count -= 1
-            on_path = set(path.vertices())
-            for u, w in graph.out_adj[v]:
-                if u not in on_path and u not in super_saturated:
-                    child = path.extend_to(u, w)
-                    if child not in queue:
-                        queue.enqueue(child)
-                        stats.normal_insertions += 1
-                        _count_insertion(stats, u)
-        elif v not in super_saturated:
+        if len(state.paths_to[v]) < k:
+            return True
+        if v not in state.super_saturated:
             super_saturate(v, graph, state, root, k, pksp)
-    return _finish(graph, state)
+        return False
+
+    return _run_queue(graph, root, k, progress, extend)
 
 
 def ss_yen(graph: Graph, root: int, k: int,
            progress: Optional[ProgressCallback] = None) -> SsKsspSolution:
     """Baseline: solve the single-pair problem independently for every target."""
-    graph._check_vertex(root)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_query(graph, root, k)
     stats = RunStats()
     collections: dict[int, PathCollection] = {}
     n = graph.vertex_count
-    done = 0
     for v in range(n):
         if v == root:
             continue
-        collections[v] = yen_pksp(graph, PkspQuery(root, v, k))
+        collections[v] = yen_pksp(graph, root, v, k)
         stats.pksp_calls += 1
-        done += 1
         if progress is not None:
-            progress(done, n - 1 - done)
+            progress(stats.pksp_calls, n - 1 - stats.pksp_calls)
     return SsKsspSolution(root, k, collections, stats)
 
 
@@ -441,22 +420,17 @@ def enumerate_all_simple_paths(graph: Graph, root: int,
 def predecessor_closure(solution: SsKsspSolution, v: int) -> PredecessorClosure:
     """General predecessors of v (v included) in a finished solution."""
     members = {v}
-    predecessors: dict[int, frozenset[int]] = {}
     frontier = deque([v])
     while frontier:
-        x = frontier.popleft()
-        direct: set[int] = set()
-        collection = solution.collections.get(x)
-        if collection is not None:
-            for path in collection.entries:
-                direct.update(path.vertices())
-            direct.discard(x)
-        predecessors[x] = frozenset(direct)
-        for u in direct:
-            if u not in members:
-                members.add(u)
-                frontier.append(u)
-    return PredecessorClosure(v, frozenset(members), predecessors)
+        collection = solution.collections.get(frontier.popleft())
+        if collection is None:
+            continue
+        for path in collection.entries:
+            for u in path.vertices():
+                if u not in members:
+                    members.add(u)
+                    frontier.append(u)
+    return PredecessorClosure(v, frozenset(members))
 
 
 def collection_violations(graph: Graph, collection: PathCollection,

@@ -11,8 +11,7 @@ import pytest
 
 from ksssp import (RunStats, bounded_ssksp, exh_ssksp, gen_barabasi_albert,
                    gen_erdos_renyi, gen_exh_adversarial, gen_pruned_adversarial,
-                   predecessor_closure, pruned_ssksp, ss_yen, yen_pksp, PkspQuery,
-                   profile)
+                   predecessor_closure, pruned_ssksp, ss_yen, yen_pksp, profile)
 from ksssp.cli import bench_cell, speedup_summary
 from util import K_CYCLE, oracle_profiles, oracle_pair_topk, random_cases
 
@@ -203,7 +202,7 @@ def test_criterion_8_yen_conformance():
         if target == root:
             target = (target + 1) % graph.vertex_count
         k = rng.choice((1, 2, 4, 6, 8))
-        collection = yen_pksp(graph, PkspQuery(root, target, k))
+        collection = yen_pksp(graph, root, target, k)
         want = oracle_pair_topk(graph, root, target, k, cap=5000)
         same_profile = profile(collection) == tuple(w for w, _ in want)
         maximal = len(collection.entries) == len(want)

@@ -62,12 +62,14 @@ class TestSolve:
         assert "line 2" in capsys.readouterr().err
 
     def test_bad_root_is_config_error(self, triangle_file, capsys):
-        assert main(["solve", "--graph", triangle_file, "--root", "9",
-                     "--k", "1"]) == EXIT_CONFIG
+        for command in ("solve", "verify"):
+            assert main([command, "--graph", triangle_file, "--root", "9",
+                         "--k", "1"]) == EXIT_CONFIG
 
     def test_bad_k_is_config_error(self, triangle_file, capsys):
-        assert main(["solve", "--graph", triangle_file, "--root", "0",
-                     "--k", "0"]) == EXIT_CONFIG
+        for command in ("solve", "verify"):
+            assert main([command, "--graph", triangle_file, "--root", "0",
+                         "--k", "0"]) == EXIT_CONFIG
 
     def test_unknown_algo_rejected_by_parser(self, triangle_file, capsys):
         with pytest.raises(SystemExit) as exc:

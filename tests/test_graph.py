@@ -91,7 +91,8 @@ class TestLoadGraph:
 
 
 class TestGraphInit:
-    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"),
+                                        pytest.param(10 ** 400, id="10**400")])
     def test_non_finite_weight_rejected(self, weight):
         with pytest.raises(ValueError, match="non-finite"):
             Graph(2, True, True, [(0, 1, weight)])

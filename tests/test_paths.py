@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from ksssp import (Graph, Path, PathCollection, compare_profiles, concat,
-                   contains_vertex, enumerate_all_simple_paths, extend,
-                   gen_erdos_renyi, is_prefix, is_simple, profile, render_path)
+from ksssp import (Graph, Path, PathCollection, contains_vertex,
+                   enumerate_all_simple_paths, extend, gen_erdos_renyi,
+                   is_simple, profile, render_path)
 
 
 def chain_graph(weights):
@@ -17,34 +17,6 @@ def square():
     # 0 <-> 1 <-> 2 plus direct 0->2, all distinct weights
     return Graph(3, True, True, [(0, 1, 2.0), (1, 2, 3.0), (1, 0, 4.0),
                                  (0, 2, 10.0)])
-
-
-class TestConcat:
-    def test_two_edges(self, square):
-        p1 = Path.from_vertices(square, (0, 1))
-        p2 = Path.from_vertices(square, (1, 2))
-        joined = concat(p1, p2, square)
-        assert joined.vertices() == (0, 1, 2)
-        assert joined.weight == 5.0
-
-    def test_identity_suffix(self, square):
-        p = Path.from_vertices(square, (0, 1, 2))
-        tail = Path.single(2)
-        joined = concat(p, tail, square)
-        assert joined.vertices() == p.vertices()
-        assert joined.weight == p.weight
-
-    def test_loop_formation_permitted(self, square):
-        p1 = Path.from_vertices(square, (0, 1))
-        p2 = Path.from_vertices(square, (1, 0))
-        joined = concat(p1, p2, square)
-        assert joined.vertices() == (0, 1, 0)
-        assert not is_simple(joined)
-        assert joined.weight == 6.0
-
-    def test_endpoint_mismatch(self, square):
-        with pytest.raises(ValueError, match="concatenate"):
-            concat(Path.single(0), Path.single(1), square)
 
 
 class TestExtend:
@@ -109,15 +81,6 @@ class TestPredicates:
                 child = p.extend_to(u, w)
                 assert is_simple(child) == (is_simple(p) and not contains_vertex(p, u))
                 p = child
-
-    def test_is_prefix(self, square):
-        p01 = Path.from_vertices(square, (0, 1))
-        p012 = Path.from_vertices(square, (0, 1, 2))
-        p02 = Path.from_vertices(square, (0, 2))
-        assert is_prefix(p01, p012)
-        assert is_prefix(p012, p012)
-        assert not is_prefix(p02, p012)
-        assert not is_prefix(p012, p01)
 
 
 class TestFingerprint:
@@ -185,12 +148,6 @@ class TestProfiles:
         col_b = PathCollection(0, 3, [Path.from_vertices(g, tied[1])])
         assert col_a.entries != col_b.entries
         assert profile(col_a) == profile(col_b)
-
-    def test_compare(self):
-        assert compare_profiles((1.0, 2.0), (1.0, 3.0)) == -1
-        assert compare_profiles((1.0, 2.0), (1.0, 2.0)) == 0
-        assert compare_profiles((1.0,), (1.0, 2.0)) == -1
-        assert compare_profiles((2.0,), (1.0, 2.0)) == 1
 
 
 class TestRendering:

@@ -3,9 +3,9 @@ from math import inf
 
 import pytest
 
-from ksssp import (Graph, Path, PathCollection, PkspQuery, ReconcileError,
+from ksssp import (Graph, Path, PathCollection, ReconcileError,
                    gen_erdos_renyi, profile, reconcile_with_existing,
-                   shortest_path_tree, yen_pksp, yen_subroutine)
+                   shortest_path_tree, yen_pksp)
 from ksssp.pksp import _GuidedSpurSearch, _search_tree
 from util import bellman_ford, masked_dijkstra, oracle_pair_topk, random_cases
 
@@ -77,32 +77,32 @@ class TestShortestPathTree:
 class TestQuery:
     def test_source_equals_target_rejected(self):
         with pytest.raises(ValueError):
-            PkspQuery(2, 2, 1)
+            yen_pksp(TRIANGLE, 2, 2, 1)
 
     def test_k_positive(self):
         with pytest.raises(ValueError):
-            PkspQuery(0, 1, 0)
+            yen_pksp(TRIANGLE, 0, 1, 0)
 
 
 class TestYen:
     def test_k1_is_shortest_path(self):
-        col = yen_pksp(TRIANGLE, PkspQuery(0, 2, 1))
+        col = yen_pksp(TRIANGLE, 0, 2, 1)
         assert profile(col) == (5.0,)
         assert col.entries[0].vertices() == (0, 1, 2)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            yen_pksp(TRIANGLE, PkspQuery(0, 9, 1))
+            yen_pksp(TRIANGLE, 0, 9, 1)
 
     def test_unreachable_target_empty(self):
         g = Graph(3, True, True, [(0, 1, 1.0), (2, 0, 1.0)])
-        col = yen_pksp(g, PkspQuery(0, 2, 4))
+        col = yen_pksp(g, 0, 2, 4)
         assert col.entries == []
 
     def test_oversized_k_returns_all_simple_paths(self):
         g = gen_erdos_renyi(8, 16, weighted=True, directed=False, seed=12)
         want = oracle_pair_topk(g, 0, 5, 10 ** 6)
-        col = yen_pksp(g, PkspQuery(0, 5, 10 ** 6))
+        col = yen_pksp(g, 0, 5, 10 ** 6)
         assert [(p.weight, p.vertices()) for p in col.entries] == want
 
     def test_matches_brute_force_top_k(self):
@@ -113,7 +113,7 @@ class TestYen:
             if target == root:
                 target = (root + 1) % graph.vertex_count
             k = rng.randint(1, 6)
-            col = yen_pksp(graph, PkspQuery(root, target, k))
+            col = yen_pksp(graph, root, target, k)
             want = oracle_pair_topk(graph, root, target, k)
             assert profile(col) == tuple(w for w, _ in want)
             assert len(col.entries) == len(want)    # maximality
@@ -122,7 +122,7 @@ class TestYen:
 
     def test_outside_paths_not_lighter(self):
         g = gen_erdos_renyi(10, 24, weighted=True, directed=True, seed=21)
-        col = yen_pksp(g, PkspQuery(0, 7, 3))
+        col = yen_pksp(g, 0, 7, 3)
         all_paths = oracle_pair_topk(g, 0, 7, 10 ** 6)
         inside = {seq for _, seq in all_paths[:len(col.entries)]}
         if col.entries:
@@ -134,14 +134,14 @@ class TestYen:
 
     def test_deterministic(self):
         g = gen_erdos_renyi(14, 40, weighted=False, directed=False, seed=30)
-        runs = [yen_pksp(g, PkspQuery(1, 9, 5)) for _ in range(2)]
+        runs = [yen_pksp(g, 1, 9, 5) for _ in range(2)]
         assert [p.vertices() for p in runs[0].entries] == \
             [p.vertices() for p in runs[1].entries]
 
     def test_entries_simple_and_distinct(self):
         for graph, root, k in random_cases(20, seed=5, max_n=18):
             target = (root + 1) % graph.vertex_count
-            col = yen_pksp(graph, PkspQuery(root, target, max(k, 2)))
+            col = yen_pksp(graph, root, target, max(k, 2))
             seqs = [p.vertices() for p in col.entries]
             assert len(set(seqs)) == len(seqs)
             assert all(len(set(s)) == len(s) for s in seqs)
@@ -245,7 +245,7 @@ class TestGuidedSpurSearch:
             if target == root:
                 target = (root + 1) % graph.vertex_count
             k = rng.randint(1, 8)
-            col = yen_pksp(graph, PkspQuery(root, target, k))
+            col = yen_pksp(graph, root, target, k)
             want = oracle_pair_topk(graph, root, target, k)
             assert profile(col) == tuple(w for w, _ in want)
             assert len({p.vertices() for p in col.entries}) == len(want)
@@ -308,7 +308,7 @@ class TestReconcile:
             target = (root + 3) % graph.vertex_count
             if target == root:
                 continue
-            full = yen_subroutine(graph, root, target, max(k, 2))
+            full = yen_pksp(graph, root, target, max(k, 2))
             if not full.entries:
                 continue
             cut = rng.randint(0, len(full.entries))

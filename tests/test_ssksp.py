@@ -10,7 +10,7 @@ from ksssp import (Graph, Path, EnumerationCapExceeded, RankedPathQueue,
                    gen_exh_adversarial, gen_pruned_adversarial, is_simple,
                    predecessor_closure, profile, pruned_ssksp, pruning_test,
                    shortest_path_tree, solution_violations, ss_yen,
-                   super_saturate, yen_subroutine)
+                   super_saturate, yen_pksp)
 from ksssp.graph import _max_edges
 from ksssp.ssksp import _init_state
 from util import oracle_profiles, random_cases
@@ -74,11 +74,13 @@ class TestExh:
         assert sol.stats.normal_insertions >= 2 ** 10
 
     def test_invalid_arguments(self):
+        # every solver validates root and k, not only exh
         g = Graph(2, True, True, [(0, 1, 1.0)])
-        with pytest.raises(ValueError):
-            exh_ssksp(g, 5, 1)
-        with pytest.raises(ValueError):
-            exh_ssksp(g, 0, 0)
+        for name, solve in SOLVERS.items():
+            with pytest.raises(ValueError, match="out of range"):
+                solve(g, 5, 1)
+            with pytest.raises(ValueError, match="k must be"):
+                solve(g, 0, 0)
 
 
 class TestPruningTest:
@@ -154,7 +156,7 @@ class TestSuperSaturate:
 
         def spy(graph, s, t, k):
             calls.append(t)
-            return yen_subroutine(graph, s, t, k)
+            return yen_pksp(graph, s, t, k)
 
         out = super_saturate(1, g, state, 0, 1, spy)
         assert out == []
@@ -166,7 +168,7 @@ class TestSuperSaturate:
         state = _init_state(g, 0, 2)
         force_collect(state, g, (0, 1))
         with pytest.raises(ValueError):
-            super_saturate(1, g, state, 0, 2, yen_subroutine)
+            super_saturate(1, g, state, 0, 2, yen_pksp)
 
     def test_detour_ladder_triggers_entry_pair_completion(self):
         inst = gen_pruned_adversarial(2)
@@ -174,10 +176,27 @@ class TestSuperSaturate:
 
         def spy(graph, s, t, k):
             targets.append(t)
-            return yen_subroutine(graph, s, t, k)
+            return yen_pksp(graph, s, t, k)
 
         bounded_ssksp(inst.graph, inst.root, 3, pksp=spy)
         assert inst.x[0] in targets and inst.x[1] in targets
+
+    def test_yen_calls_route_through_module_seam(self, monkeypatch):
+        # The default subroutine is ksssp.ssksp.yen_pksp looked up at call
+        # time, so replacing that name sees every Yen call of bounded and
+        # ss-yen; a default bound at definition time would bypass it.
+        calls = []
+
+        def spy(graph, s, t, k):
+            calls.append(t)
+            return yen_pksp(graph, s, t, k)
+
+        monkeypatch.setattr(ssksp_mod, "yen_pksp", spy)
+        inst = gen_pruned_adversarial(2)
+        for solve in (bounded_ssksp, ss_yen):
+            calls.clear()
+            sol = solve(inst.graph, inst.root, 3)
+            assert calls and len(calls) == sol.stats.pksp_calls
 
     def test_exceptional_bound_over_random_runs(self):
         rng = random.Random(55)
