@@ -13,12 +13,13 @@ import random
 import sys
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from .graph import (Graph, GraphFormatError, dump_graph, gen_barabasi_albert,
                     gen_erdos_renyi, gen_exh_adversarial,
                     gen_pruned_adversarial, load_graph_file)
-from .paths import profile
+from .paths import Path, profile
 from .ssksp import (DEFAULT_ENUMERATION_CAP, EnumerationCapExceeded,
                     RunStats, SsKsspSolution, bounded_ssksp, count_simple_paths,
                     enumerate_all_simple_paths, exh_ssksp, pruned_ssksp,
@@ -112,11 +113,38 @@ def run_solve(graph: Graph, root: int, k: int, algo: str, force: bool = False,
             for v in sorted(solution.collections)
         ]
         return [json.dumps(payload, indent=2)]
-    lines = []
-    for v in sorted(solution.collections):
-        for i, p in enumerate(solution.collections[v].entries):
-            verts = "-".join(map(str, p.vertices()))
-            lines.append(f"{v}\t{i + 1}\t{p.weight!r}\t{verts}")
+    return _render_tsv(solution, graph.vertex_count)
+
+
+def _render_tsv(solution: SsKsspSolution, n: int) -> list[str]:
+    """One ``vertex, rank, weight, dash-joined ids`` line per path.
+
+    Paths are rendered shortest first, so a path whose parent prefix is also
+    an output path copies the parent's vertex text and appends one id; any
+    other path joins all its ids. Lines come out in vertex and rank order.
+    """
+    names = list(map(str, range(n)))
+    collections = solution.collections
+    lines: list[str] = []
+    todo: list[tuple[int, int, int, Path]] = []
+    for v in sorted(collections):
+        for rank, p in enumerate(collections[v].entries, 1):
+            todo.append((p.length, len(lines), rank, p))
+            lines.append("")
+    todo.sort(key=itemgetter(0))
+    # id of a rendered path -> (its line, offset of its vertex text). The
+    # solution keeps every rendered path alive, so no id is reused meanwhile.
+    rendered: dict[int, tuple[str, int]] = {}
+    for _, index, rank, p in todo:
+        head = f"{p.last}\t{rank}\t{p.weight!r}\t"
+        parent = rendered.get(id(p.prev))
+        if parent is None:
+            line = head + "-".join(map(names.__getitem__, p.vertices()))
+        else:
+            text, start = parent
+            line = f"{head}{text[start:]}-{names[p.last]}"
+        rendered[id(p)] = (line, len(head))
+        lines[index] = line
     return lines
 
 

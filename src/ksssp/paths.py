@@ -2,9 +2,12 @@
 
 A Path is a node chaining to a shared prefix, so extending by one vertex is
 O(1) in time and memory and a run's total path storage is proportional to the
-number of insertions rather than insertions times length. Identity is decided
-by a rolling fingerprint plus a mandatory full-sequence comparison, so hash
-collisions can never produce a false "already present" answer.
+number of insertions rather than insertions times length. A path's vertex
+tuple is built on demand from the nearest prefix whose tuple is already
+cached, so a child of a cached path costs one tuple concatenation rather than
+a walk of its whole chain. Identity is decided by a rolling fingerprint plus
+a mandatory full-sequence comparison, so hash collisions can never produce a
+false "already present" answer.
 """
 from __future__ import annotations
 
@@ -70,15 +73,20 @@ class Path:
         return Path(self, u, self.weight + edge_weight, self.length + 1, fp)
 
     def vertices(self) -> tuple[int, ...]:
-        """The vertex sequence; materialized on first use and cached."""
+        """The vertex sequence; materialized on first use and cached.
+
+        Walks back only to the nearest ancestor whose sequence is cached and
+        appends the walked tail to that tuple, so the child of a cached path
+        costs one tuple concatenation.
+        """
         if self._seq is None:
-            out = []
+            tail = []
             node: Optional[Path] = self
-            while node is not None:
-                out.append(node.last)
+            while node is not None and node._seq is None:
+                tail.append(node.last)
                 node = node.prev
-            out.reverse()
-            self._seq = tuple(out)
+            tail.reverse()
+            self._seq = tuple(tail) if node is None else node._seq + tuple(tail)
         return self._seq
 
     def __iter__(self):

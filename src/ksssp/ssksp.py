@@ -106,7 +106,8 @@ class SolverState:
     root: int
     k: int
     paths_to: list[list[Path]]          # T_v, appended in dequeue order
-    vertices_on: list[set[int]]         # V(T_v), kept in sync with paths_to
+    vertices_on: list[set[int]]         # V(T_v), filled by pruned's guard;
+                                        # read only by ``pruning_test``
     unsaturated_count: int              # |{w != root : |T_w| < k}|
     super_saturated: set[int]
     queue: RankedPathQueue
@@ -201,7 +202,6 @@ def _run_queue(graph: Graph, root: int, k: int,
         bucket = paths_to[v]
         if len(bucket) < k:
             bucket.append(path)
-            state.vertices_on[v].update(path.vertices())
             if len(bucket) == k and v != root:
                 state.unsaturated_count -= 1
     stats.peak_queue_size = queue.peak_size
@@ -259,8 +259,12 @@ def pruned_ssksp(graph: Graph, root: int, k: int,
     search on its first step.
     """
     def extend(path: Path, state: SolverState) -> bool:
-        return path.length == 1 or not pruning_test(path.last, graph, state,
-                                                    root, k)
+        v = path.last
+        keep = path.length == 1 or not pruning_test(v, graph, state, root, k)
+        # The engine appends the path to T_v under this same condition.
+        if len(state.paths_to[v]) < k:
+            state.vertices_on[v].update(path.vertices())
+        return keep
 
     return _run_queue(graph, root, k, progress, extend)
 
@@ -308,10 +312,10 @@ def super_saturate(v: int, graph: Graph, state: SolverState, root: int, k: int,
         reached: set[int] = set()
         for path in solution_x.entries:
             reached.update(path.vertices())
-        for w in sorted(reached):
-            if w not in seen and w not in state.super_saturated:
-                seen.add(w)
-                frontier.append(w)
+        reached -= seen
+        reached -= state.super_saturated
+        seen |= reached
+        frontier.extend(sorted(reached))
         state.super_saturated.add(x)
     return enqueued
 

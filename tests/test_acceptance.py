@@ -168,6 +168,7 @@ def test_criterion_6_subroutine_call_bounds(corpus_runs):
     assert passed
 
 
+@pytest.mark.slow
 def test_criterion_7_desk_scale_speedup():
     instances = [
         ("er-1000-10000", gen_erdos_renyi(1000, 10000, weighted=False,

@@ -3,8 +3,9 @@ import json
 
 import pytest
 
-from ksssp import (bounded_ssksp, enumerate_all_simple_paths, load_graph,
-                   shortest_path_tree, ss_yen)
+import ksssp.cli as cli_mod
+from ksssp import (bounded_ssksp, enumerate_all_simple_paths, gen_erdos_renyi,
+                   gen_exh_adversarial, load_graph, shortest_path_tree, ss_yen)
 from ksssp.cli import (ConfigError, EXIT_CONFIG, EXIT_IO, EXIT_MISMATCH, EXIT_OK,
                        RunConfig, bench_cell, main, profile_digest, run_solve,
                        run_verify, speedup_summary)
@@ -84,6 +85,47 @@ class TestSolve:
         lines = run_solve(graph, 0, 1, "exh", force=True, cap=2)
         assert lines
         assert run_solve(graph, 0, 1, "exh", cap=10 ** 6) == lines
+
+
+def solve_with_reference(monkeypatch, graph, root, k, algo):
+    """``run_solve``'s TSV lines and a naive rendering of the same solution."""
+    captured = []
+    solver = cli_mod.SOLVERS[algo]
+
+    def spy(*args, **kwargs):
+        captured.append(solver(*args, **kwargs))
+        return captured[-1]
+
+    monkeypatch.setitem(cli_mod.SOLVERS, algo, spy)
+    lines = run_solve(graph, root, k, algo)
+    (solution,) = captured
+    reference = [f"{v}\t{rank}\t{p.weight!r}\t" + "-".join(map(str, p.vertices()))
+                 for v in sorted(solution.collections)
+                 for rank, p in enumerate(solution.collections[v].entries, 1)]
+    return lines, reference, solution
+
+
+class TestRendering:
+    # Prefix-shared rendering must print exactly what a plain join of every
+    # path's vertex ids prints.
+    @pytest.mark.parametrize("algo", ["bounded", "pruned", "exh", "ss-yen"])
+    @pytest.mark.parametrize("end", ["root", "terminal"])
+    def test_ladder_matches_naive_rendering(self, monkeypatch, algo, end):
+        inst = gen_exh_adversarial(6)
+        root = inst.root if end == "root" else inst.terminal
+        lines, reference, solution = solve_with_reference(
+            monkeypatch, inst.graph, root, 3, algo)
+        longest = max(p.length for col in solution.collections.values()
+                      for p in col.entries)
+        assert longest == 2 * 6 + 2          # some path spans the ladder
+        assert lines == reference
+
+    def test_exceptional_insertions_match_naive_rendering(self, monkeypatch):
+        graph = gen_erdos_renyi(16, 40, True, True, seed=0)
+        lines, reference, solution = solve_with_reference(
+            monkeypatch, graph, 0, 3, "bounded")
+        assert solution.stats.exceptional_insertions > 0
+        assert lines == reference
 
 
 class TestGen:

@@ -111,6 +111,63 @@ class TestFingerprint:
         assert a == b
 
 
+def chain_walk(path):
+    """Reference vertex sequence: a plain walk of the prev chain."""
+    out = []
+    node = path
+    while node is not None:
+        out.append(node.last)
+        node = node.prev
+    return tuple(reversed(out))
+
+
+def build_chain(length):
+    """The nodes of one chain 0-1-...-(length-1), none with a cached tuple."""
+    nodes = [Path.single(0)]
+    for u in range(1, length):
+        nodes.append(nodes[-1].extend_to(u, 1.0))
+    return nodes
+
+
+class TestVertices:
+    def test_no_cached_ancestor(self):
+        nodes = build_chain(12)
+        assert all(node._seq is None for node in nodes)
+        assert nodes[-1].vertices() == chain_walk(nodes[-1])
+        assert all(node._seq is None for node in nodes[:-1])
+
+    @pytest.mark.parametrize("cached_at", [0, 5, 10])
+    def test_cached_ancestor(self, cached_at):
+        # Depth 0 (the single-vertex root), the middle, and one vertex back.
+        nodes = build_chain(12)
+        ancestor = nodes[cached_at]
+        ancestor_seq = ancestor.vertices()
+        assert ancestor_seq == chain_walk(ancestor)
+        tip = nodes[-1]
+        assert tip.vertices() == chain_walk(tip)
+        assert ancestor._seq is ancestor_seq
+        assert ancestor.vertices() == tuple(range(cached_at + 1))
+
+    def test_nearest_cached_ancestor_wins(self):
+        nodes = build_chain(12)
+        far, near = nodes[2], nodes[7]
+        far_seq, near_seq = far.vertices(), near.vertices()
+        assert nodes[-1].vertices() == chain_walk(nodes[-1])
+        assert nodes[-1].vertices()[:near.length] == near_seq
+        assert far._seq is far_seq and near._seq is near_seq
+        assert all(node._seq is None for node in nodes[8:-1])
+
+    def test_long_chain_has_no_recursion_limit(self):
+        nodes = build_chain(10_000)
+        middle = nodes[5_000]
+        middle_seq = middle.vertices()
+        assert nodes[-1].vertices() == chain_walk(nodes[-1])
+        assert nodes[-1].vertices() == tuple(range(10_000))
+        assert middle._seq is middle_seq
+        fresh = build_chain(10_000)[-1]
+        assert fresh.vertices() == tuple(range(10_000))
+
+
 class TestOrdering:
     def test_weight_then_length_then_sequence(self):
         a = Path.single(0).extend_to(1, 1.0)              # w=1 len=2

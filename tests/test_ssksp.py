@@ -129,6 +129,27 @@ class TestPruningTest:
 
 
 class TestPruned:
+    def test_vertices_on_matches_collections_at_every_pruning_test(
+            self, monkeypatch):
+        # pruned's guard keeps V(T_x) in sync with T_x for the pruning test.
+        real = ssksp_mod.pruning_test
+        calls = []
+
+        def checked(v, graph, state, root, k):
+            calls.append(v)
+            for x in range(graph.vertex_count):
+                assert state.vertices_on[x] == set().union(
+                    *(p.vertices() for p in state.paths_to[x]))
+            return real(v, graph, state, root, k)
+
+        monkeypatch.setattr(ssksp_mod, "pruning_test", checked)
+        cases = list(random_cases(30, seed=77, max_n=14))
+        inst = gen_pruned_adversarial(3)
+        cases.append((inst.graph, inst.root, 3))
+        for graph, root, k in cases:
+            pruned_ssksp(graph, root, min(k, 4))
+        assert len(calls) > 100
+
     def test_matches_exh(self):
         for graph, root, k in random_cases(50, seed=202, max_n=20):
             k = min(k, 4)
