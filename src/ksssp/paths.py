@@ -5,8 +5,11 @@ O(1) in time and memory and a run's total path storage is proportional to the
 number of insertions rather than insertions times length. A path's vertex
 tuple is built on demand from the nearest prefix whose tuple is already
 cached, so a child of a cached path costs one tuple concatenation rather than
-a walk of its whole chain. Identity is decided by a rolling fingerprint plus
-a mandatory full-sequence comparison, so hash collisions can never produce a
+a walk of its whole chain. Ordering and equality both walk the two chains back
+from their ends in lockstep and stop at the first node they share, so two
+paths with a long common prefix compare in time proportional to where they
+differ, not to their length. Identity is decided by a rolling fingerprint
+plus a mandatory sequence comparison, so hash collisions can never produce a
 false "already present" answer.
 """
 from __future__ import annotations
@@ -31,10 +34,16 @@ class Path:
 
     Ordering is the global tie-break used by every priority queue here:
     (weight, vertex count, lexicographic vertex sequence). Equality means
-    sequence equality; the fingerprint only serves as the hash.
+    sequence equality; the fingerprint only serves as the hash. Neither
+    builds a vertex tuple: both stop at the shared prefix node.
+
+    ``walk_mark`` is an opaque token that a solver run sets on the nodes it
+    has walked (see ``ssksp.super_saturate``); a node's mark is only ever
+    compared by identity with the token of the run that reads it.
     """
 
-    __slots__ = ("prev", "last", "weight", "length", "fingerprint", "_seq")
+    __slots__ = ("prev", "last", "weight", "length", "fingerprint", "_seq",
+                 "walk_mark")
 
     prev: Optional["Path"]
     last: int
@@ -50,6 +59,7 @@ class Path:
         self.length = length
         self.fingerprint = fingerprint
         self._seq: Optional[tuple[int, ...]] = None
+        self.walk_mark: object = None
 
     @classmethod
     def single(cls, v: int) -> "Path":
@@ -121,7 +131,17 @@ class Path:
             return self.weight < other.weight
         if self.length != other.length:
             return self.length < other.length
-        return self.vertices() < other.vertices()
+        # Equal lengths, so the chains reach their shared prefix node (or
+        # both run out) together. The last difference seen walking back is
+        # the first one from the root, which decides the lexicographic order.
+        a: Optional[Path] = self
+        b: Optional[Path] = other
+        less = False
+        while a is not b:
+            if a.last != b.last:
+                less = a.last < b.last
+            a, b = a.prev, b.prev
+        return less
 
     def __repr__(self) -> str:
         return f"Path({'-'.join(map(str, self.vertices()))}, w={self.weight!r})"

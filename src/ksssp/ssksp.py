@@ -112,6 +112,10 @@ class SolverState:
     super_saturated: set[int]
     queue: RankedPathQueue
     stats: RunStats
+    progress: Optional[ProgressCallback] = None
+    # This run's token for Path.walk_mark: every vertex of a marked node's
+    # prefix is already in the closure walk's seen or super-saturated set.
+    walk_mark: object = field(default_factory=object)
 
 
 @dataclass
@@ -139,7 +143,8 @@ def _check_query(graph: Graph, root: int, k: int) -> None:
         raise ValueError(f"k must be >= 1, got {k}")
 
 
-def _init_state(graph: Graph, root: int, k: int) -> SolverState:
+def _init_state(graph: Graph, root: int, k: int,
+                progress: Optional[ProgressCallback] = None) -> SolverState:
     _check_query(graph, root, k)
     n = graph.vertex_count
     queue = RankedPathQueue()
@@ -152,6 +157,7 @@ def _init_state(graph: Graph, root: int, k: int) -> SolverState:
         super_saturated={root},
         queue=queue,
         stats=RunStats(),
+        progress=progress,
     )
 
 
@@ -173,8 +179,11 @@ def _run_queue(graph: Graph, root: int, k: int,
     and paths already queued. While only the root is super-saturated, the last
     two skip nothing: the root lies on every path, and a path is enqueued only
     by its one parent prefix, which is dequeued once.
+
+    ``progress(dequeues, unsaturated)`` is called once per dequeue, and again
+    between the subroutine calls of a super-saturation with the same values.
     """
-    state = _init_state(graph, root, k)
+    state = _init_state(graph, root, k, progress)
     stats = state.stats
     queue = state.queue
     paths_to = state.paths_to
@@ -279,6 +288,12 @@ def super_saturate(v: int, graph: Graph, state: SolverState, root: int, k: int,
     its missing paths are enqueued as exceptional insertions. Members are
     marked super-saturated only after their collection has been processed.
     Returns the newly enqueued paths.
+
+    The walk takes each member's vertices from its solution paths, stepping
+    back from each path's end only to the first node this run already
+    walked: every vertex of that node's prefix is already in ``seen`` or
+    super-saturated, so the frontier is the same as from whole paths. The
+    run's ``progress`` is called before every subroutine call but the first.
     """
     bucket_v = state.paths_to[v]
     if len(bucket_v) != k or v in state.super_saturated:
@@ -286,6 +301,9 @@ def super_saturate(v: int, graph: Graph, state: SolverState, root: int, k: int,
                          "not yet super-saturated vertex")
     stats = state.stats
     queue = state.queue
+    progress = state.progress
+    mark = state.walk_mark
+    calls_before = stats.pksp_calls
     enqueued: list[Path] = []
     frontier = deque([v])
     seen = {v}
@@ -295,6 +313,8 @@ def super_saturate(v: int, graph: Graph, state: SolverState, root: int, k: int,
             continue
         bucket = state.paths_to[x]
         if len(bucket) < k:
+            if progress is not None and stats.pksp_calls > calls_before:
+                progress(stats.dequeues, state.unsaturated_count)
             computed = pksp(graph, root, x, k)
             stats.pksp_calls += 1
             solution_x = reconcile_with_existing(
@@ -311,7 +331,11 @@ def super_saturate(v: int, graph: Graph, state: SolverState, root: int, k: int,
                 enqueued.append(path)
         reached: set[int] = set()
         for path in solution_x.entries:
-            reached.update(path.vertices())
+            node: Optional[Path] = path
+            while node is not None and node.walk_mark is not mark:
+                node.walk_mark = mark
+                reached.add(node.last)
+                node = node.prev
         reached -= seen
         reached -= state.super_saturated
         seen |= reached

@@ -176,6 +176,60 @@ class TestOrdering:
         d = Path.single(0).extend_to(3, 2.0)              # w=2
         assert sorted([d, c, b, a]) == [a, b, c, d]
 
+    def test_matches_reference_order_on_prefix_shared_paths(self):
+        # Weights 0 and 1 on few vertices make weight-and-length ties common;
+        # each path extends an earlier one, so many share prefix nodes, and
+        # twins rebuilt by from_vertices share a sequence but no node.
+        rng = random.Random(7)
+        for _ in range(40):
+            n = rng.randint(2, 5)
+            g = Graph(n, True, True, [(u, v, float(rng.randint(0, 1)))
+                                      for u in range(n) for v in range(n)
+                                      if u != v])
+            pool = [Path.single(rng.randrange(n)) for _ in range(3)]
+            while len(pool) < 60:
+                parent = rng.choice(pool)
+                u, _ = rng.choice(g.out_adj[parent.last])
+                pool.append(extend(parent, u, g))
+            pool += [Path.from_vertices(g, chain_walk(p))
+                     for p in rng.sample(pool, 15)]
+            keys = [reference_key(p) for p in pool]
+            for a, key_a in zip(pool, keys):
+                for b, key_b in zip(pool, keys):
+                    assert (a < b) == (key_a < key_b), (key_a, key_b)
+            assert [reference_key(p) for p in sorted(pool)] == sorted(keys)
+
+    def test_equal_sequences_are_not_less(self):
+        a = Path.single(0).extend_to(1, 1.0).extend_to(2, 0.0)
+        twin = Path.single(0).extend_to(1, 0.0).extend_to(2, 1.0)
+        assert not a < twin and not twin < a
+        assert not a < a
+
+    def test_long_chains_compare_iteratively(self):
+        # Two 10,000-vertex chains without a shared node that differ at the
+        # second vertex and, the other way round, at the second to last.
+        seq = list(range(10_000))
+        other = seq.copy()
+        other[1], other[-2] = 20_000, 0
+        a, b = chain_path(seq), chain_path(other)
+        assert a < b and not b < a
+        assert not a < chain_path(seq) and not chain_path(seq) < a
+        # Two children of one 9,999-vertex prefix.
+        base = chain_path(seq[:-1])
+        low, high = base.extend_to(1, 1.0), base.extend_to(20_001, 1.0)
+        assert sorted([high, b, low, a]) == [low, a, high, b]
+
+
+def reference_key(path):
+    return path.weight, path.length, path.vertices()
+
+
+def chain_path(seq):
+    path = Path.single(seq[0])
+    for u in seq[1:]:
+        path = path.extend_to(u, 1.0)
+    return path
+
 
 class TestProfiles:
     def test_empty(self):

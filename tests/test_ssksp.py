@@ -1,16 +1,17 @@
 import random
+from collections import deque
 from math import inf
 
 import pytest
 
 import ksssp.ssksp as ssksp_mod
-from ksssp import (Graph, Path, EnumerationCapExceeded, RankedPathQueue,
-                   bounded_ssksp, count_simple_paths,
+from ksssp import (Graph, Path, PathCollection, EnumerationCapExceeded,
+                   RankedPathQueue, bounded_ssksp, count_simple_paths,
                    enumerate_all_simple_paths, exh_ssksp, gen_erdos_renyi,
                    gen_exh_adversarial, gen_pruned_adversarial, is_simple,
                    predecessor_closure, profile, pruned_ssksp, pruning_test,
-                   shortest_path_tree, solution_violations, ss_yen,
-                   super_saturate, yen_pksp)
+                   reconcile_with_existing, shortest_path_tree,
+                   solution_violations, ss_yen, super_saturate, yen_pksp)
 from ksssp.graph import _max_edges
 from ksssp.ssksp import _init_state
 from util import oracle_profiles, random_cases
@@ -26,6 +27,41 @@ def force_collect(state, graph, seq):
     state.paths_to[v].append(path)
     state.vertices_on[v].update(seq)
     return path
+
+
+def naive_super_saturate(v, graph, state, root, k, pksp):
+    """Reference closure walk over whole vertex sequences; mutates nothing.
+
+    Returns the sequences ``super_saturate`` would enqueue, in order, and the
+    vertices it would mark super-saturated.
+    """
+    marked = set(state.super_saturated)
+    enqueued = []
+    frontier = deque([v])
+    seen = {v}
+    while frontier:
+        x = frontier.popleft()
+        if x in marked:
+            continue
+        bucket = state.paths_to[x]
+        entries = list(bucket)
+        if len(bucket) < k:
+            entries = reconcile_with_existing(
+                pksp(graph, root, x, k),
+                PathCollection(root, x, list(bucket))).entries
+        enqueued += [(p.weight, p.vertices()) for p in entries
+                     if p not in bucket and p not in state.queue]
+        reached = {u for p in entries for u in p.vertices()}
+        new = sorted(reached - seen - marked)
+        seen.update(new)
+        frontier.extend(new)
+        marked.add(x)
+    return enqueued, marked - state.super_saturated
+
+
+def unweighted_twin(graph):
+    return Graph(graph.vertex_count, graph.directed, False,
+                 [(u, v, 1.0) for u, v, _ in graph.canonical_edges()])
 
 
 class TestEnumerate:
@@ -218,6 +254,56 @@ class TestSuperSaturate:
             calls.clear()
             sol = solve(inst.graph, inst.root, 3)
             assert calls and len(calls) == sol.stats.pksp_calls
+
+    def test_closure_walk_matches_vertex_union(self, monkeypatch):
+        # Every super_saturate call of a bounded run enqueues the same paths
+        # and marks the same closure as the whole-sequence reference.
+        real = ssksp_mod.super_saturate
+        closures = []
+
+        def checked(v, graph, state, root, k, pksp):
+            want_enqueued, want_closure = naive_super_saturate(
+                v, graph, state, root, k, pksp)
+            before = set(state.super_saturated)
+            got = real(v, graph, state, root, k, pksp)
+            assert [(p.weight, p.vertices()) for p in got] == want_enqueued
+            assert state.super_saturated - before == want_closure
+            closures.append(len(want_closure))
+            return got
+
+        monkeypatch.setattr(ssksp_mod, "super_saturate", checked)
+        graphs = [(g, root) for g, root, _ in
+                  random_cases(80, seed=717, max_n=18)]
+        for d in range(2, 6):
+            inst = gen_pruned_adversarial(d)
+            graphs += [(inst.graph, inst.root),
+                       (unweighted_twin(inst.graph), inst.root)]
+        for graph, root in graphs:
+            for k in (1, 2, 4):
+                bounded_ssksp(graph, root, k)
+        assert sum(size > 1 for size in closures) > 10
+
+    def test_marks_belong_to_one_run(self):
+        inst = gen_pruned_adversarial(3)
+        g, root, k = inst.graph, inst.root, 3
+        first, second = bounded_ssksp(g, root, k), bounded_ssksp(g, root, k)
+        assert first.stats == second.stats
+        assert ({v: [p.vertices() for p in c] for v, c in
+                 first.collections.items()}
+                == {v: [p.vertices() for p in c] for v, c in
+                    second.collections.items()})
+        # A second state over path objects the first one already walked
+        # must walk them again.
+        anchor = inst.terminal
+        for _ in range(2):
+            state = _init_state(g, root, k)
+            for v, col in first.collections.items():
+                state.paths_to[v].extend(col.entries)
+            _, want_closure = naive_super_saturate(anchor, g, state, root,
+                                                   k, yen_pksp)
+            super_saturate(anchor, g, state, root, k, yen_pksp)
+            assert len(want_closure) > 1
+            assert state.super_saturated - {root} == want_closure
 
     def test_exceptional_bound_over_random_runs(self):
         rng = random.Random(55)
@@ -438,6 +524,38 @@ class TestProgressCallback:
         assert seen
         assert [d for d, _ in seen] == list(range(1, len(seen) + 1))
         assert all(u >= 0 for _, u in seen)
+
+    def test_guard_stops_run_inside_super_saturation(self, monkeypatch):
+        # One closure of this run makes 11 Yen calls; a guard that raises
+        # once 3 of them are done stops the run before the closure finishes.
+        g = gen_erdos_renyi(20, 60, weighted=True, directed=True, seed=3)
+        per_closure = []
+        real = ssksp_mod.super_saturate
+
+        def counted_closure(*args):
+            per_closure.append(0)
+            return real(*args)
+
+        def counted_yen(graph, s, t, k):
+            per_closure[-1] += 1
+            return yen_pksp(graph, s, t, k)
+
+        monkeypatch.setattr(ssksp_mod, "super_saturate", counted_closure)
+        monkeypatch.setattr(ssksp_mod, "yen_pksp", counted_yen)
+        bounded_ssksp(g, 0, 2)
+        assert max(per_closure) == 11
+
+        class Stop(Exception):
+            pass
+
+        def guard(_dequeues, _unsaturated):
+            if per_closure and per_closure[-1] >= 3:
+                raise Stop
+
+        per_closure.clear()
+        with pytest.raises(Stop):
+            bounded_ssksp(g, 0, 2, progress=guard)
+        assert per_closure[-1] == 3
 
     def test_ss_yen_progress(self):
         g = gen_erdos_renyi(9, 20, weighted=False, directed=True, seed=4)
