@@ -168,7 +168,6 @@ def run_verify(graph: Graph, root: int, k: int, algos: Sequence[str],
         solution = solvers[name](graph, root, k)
         by_name[name] = solution.profiles()
         violations.extend(solution_violations(graph, solution, name))
-    reference = None
     if use_oracle:
         per_vertex = enumerate_all_simple_paths(graph, root, cap)
         by_name["oracle"] = {

@@ -1,24 +1,24 @@
 """Single-pair machinery: shortest-path trees and Yen's top-k simple paths.
 
-``yen_pksp(graph, source, target, k)`` is used standalone by the per-target
-baseline solver and, with the same signature, as the default subroutine that
-completes collections for unsaturated vertices inside the bounded
-single-source solver.
+``yen_pksp(graph, source, target, k, tree=None)`` serves the per-target
+baseline solver and, wrapped to 4 arguments, is the bounded solver's default
+subroutine. Both pass it one forward shortest-path tree from the root.
 
-Yen's cost is its spur searches. On weighted graphs each call grows the
-target's reverse shortest-path tree once, lazily: only until the source is
-settled. A spur whose tree path avoids the spur's mask takes that path (the
-node-classification shortcut of Feng, Networks 2014, and of PNC, Al Zoobi,
-Coudert & Nisse, SEA 2020); any other spur runs A* with the tree distances as
-heuristic. Unweighted graphs keep an early-exit BFS per spur: guided there
-too, Yen sped the ``ss-yen`` baseline up more than the bounded solver, which
-then lost its lead over the baseline on unweighted ER at k=8.
+On weighted graphs Yen runs in the reversed graph, from the target back to
+the source, so every spur search ends at the source and one forward Dijkstra
+tree serves every call. A spur u first tries the one-sidetrack shortcut
+(Eppstein, SIAM J. Comput. 1998; Kurz & Mutzel, ISAAC 2016): if the tree path
+of u's lightest allowed in-neighbour p (by d(source, p) + w) avoids the mask
+and u, it plus the arc (p, u) is a shortest masked path. Any other spur runs
+A* with the exact heuristic d(source, v). Unweighted graphs keep a BFS per
+spur: guided, it sped ``ss-yen`` past the bounded solver on unweighted ER.
 """
 from __future__ import annotations
 
 import heapq
 from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import accumulate
 from math import inf
 from typing import Optional
 
@@ -38,18 +38,12 @@ class ShortestPathTree:
 
 
 def _search_tree(adj: list[list[tuple[int, float]]], weighted: bool, root: int,
-                 stop: Optional[int] = None,
                  ) -> tuple[list[float], list[Optional[int]]]:
     """Distances and tree parents from ``root`` over the adjacency lists ``adj``.
 
     Weighted graphs use Dijkstra on a binary heap; unweighted graphs use a
     breadth-first visit, which yields identical distances at unit weights.
     Unreached vertices keep dist=inf and no parent.
-
-    With ``stop``, the search ends as soon as ``stop`` is settled, at radius
-    R = dist[stop]. Every vertex with dist <= R then holds its exact distance
-    and a parent chain of settled vertices back to the root; every other
-    vertex is at least R away, whatever its (tentative or infinite) dist.
     """
     dist = [inf] * len(adj)
     parent: list[Optional[int]] = [None] * len(adj)
@@ -63,15 +57,11 @@ def _search_tree(adj: list[list[tuple[int, float]]], weighted: bool, root: int,
                 if dist[v] == inf:
                     dist[v] = du
                     parent[v] = u
-                    if v == stop:
-                        return dist, parent
                     queue.append(v)
         return dist, parent
     heap = [(0.0, root)]
     while heap:
         du, u = heapq.heappop(heap)
-        if u == stop:
-            break
         if du > dist[u]:
             continue
         for v, w in adj[u]:
@@ -97,12 +87,9 @@ SpurPath = Optional[tuple[float, tuple[int, ...]]]
 def _masked_bfs(graph: Graph, source: int, target: int,
                 removed_vertices: set[int], removed_arcs: set[tuple[int, int]],
                 ) -> SpurPath:
-    """Fewest-arc source->target path of an unweighted graph, ignoring masked
-    vertices and arcs; stops as soon as target is labelled.
-
-    Returns (weight, vertex sequence) or None when target is unreachable.
-    Masking on the original adjacency avoids materializing subgraph copies.
-    """
+    """Fewest-arc (weight, vertex sequence) source->target path of an
+    unweighted graph avoiding the mask, or None; stops once target is
+    labelled."""
     dist = [inf] * graph.vertex_count
     parent = [-1] * graph.vertex_count
     dist[source] = 0.0
@@ -127,91 +114,96 @@ def _trace_back(parent: list[int] | dict[int, int], source: int,
     seq = [target]
     while seq[-1] != source:
         seq.append(parent[seq[-1]])
-    seq.reverse()
-    return tuple(seq)
+    return tuple(reversed(seq))
 
 
-class _GuidedSpurSearch:
-    """Masked shortest paths into ``target`` of a weighted graph.
+class _SpurSearch:
+    """Masked shortest spur->root paths of the reversed weighted graph.
 
-    The reverse tree stops at radius R = d(source, target), so h(v) =
-    min(dist[v], R) is an admissible and consistent lower bound on
-    d(v, target). A tree path that avoids the mask is still shortest, since
-    masking only raises distances. A* keys are (g + h, -g, v): among equal
-    estimates the entry nearer the target goes first.
+    The path (u, ..., root) here is (root, ..., u) in the graph, and the
+    root's forward tree gives h(v) = d(root, v), a consistent lower bound
+    under any mask. As in Yen, the spur is not the root, the root is not
+    masked, and every masked arc (in the reversed orientation) touches the
+    spur, so a tree path avoiding the spur avoids them all. A* keys are
+    (g + h, -g, v): of equal estimates, the one nearer the root goes first.
     """
 
-    __slots__ = ("out_adj", "target", "radius", "dist", "succ", "h")
+    __slots__ = ("in_adj", "tree")
 
-    def __init__(self, graph: Graph, source: int, target: int):
-        self.out_adj = graph.out_adj
-        self.target = target
-        self.dist, self.succ = _search_tree(graph.in_adj, True, target,
-                                            stop=source)
-        radius = self.radius = self.dist[source]
-        self.h = [d if d < radius else radius for d in self.dist]
+    def __init__(self, graph: Graph, tree: ShortestPathTree):
+        self.in_adj = graph.in_adj
+        self.tree = tree
 
     def __call__(self, spur: int, removed_vertices: set[int],
                  removed_arcs: set[tuple[int, int]]) -> SpurPath:
-        """Shortest spur->target path avoiding the mask, or None."""
-        target = self.target
-        if self.dist[spur] <= self.radius < inf:
-            succ = self.succ
-            seq = [spur]
-            u = spur
-            while u != target:
-                v = succ[u]
-                if v in removed_vertices or (u, v) in removed_arcs:
-                    break
-                seq.append(v)
-                u = v
-            else:
-                return self.dist[spur], tuple(seq)
-        return self._astar(spur, removed_vertices, removed_arcs)
+        """Shortest spur->root path avoiding the mask, or None."""
+        dist = self.tree.dist
+        best = inf
+        via = spur
+        for p, w in self.in_adj[spur]:
+            d = dist[p] + w
+            if d < best and p not in removed_vertices \
+                    and (spur, p) not in removed_arcs:
+                best = d
+                via = p
+        if best == inf:
+            return None
+        parent = self.tree.parent
+        seq = [spur]
+        p: Optional[int] = via
+        while p is not None:
+            if p == spur or p in removed_vertices:
+                return self._astar(spur, removed_vertices, removed_arcs)
+            seq.append(p)
+            p = parent[p]
+        return best, tuple(seq)
 
-    def _astar(self, source: int, removed_vertices: set[int],
+    def _astar(self, spur: int, removed_vertices: set[int],
                removed_arcs: set[tuple[int, int]]) -> SpurPath:
-        target = self.target
-        out_adj = self.out_adj
-        h = self.h
-        g = {source: 0.0}
-        parent: dict[int, int] = {}
-        heap = [(h[source], -0.0, source)]
+        root = self.tree.root
+        in_adj = self.in_adj
+        h = self.tree.dist
+        g = {spur: 0.0}
+        succ: dict[int, int] = {}
+        heap = [(h[spur], -0.0, spur)]
         while heap:
             _, neg_gu, u = heapq.heappop(heap)
             gu = -neg_gu
             if gu > g[u]:
                 continue
-            if u == target:
-                return gu, _trace_back(parent, source, target)
-            for v, w in out_adj[u]:
-                if v in removed_vertices or (u, v) in removed_arcs:
+            if u == root:
+                return gu, _trace_back(succ, spur, root)
+            for v, w in in_adj[u]:
+                hv = h[v]
+                if hv == inf or v in removed_vertices or (u, v) in removed_arcs:
                     continue
                 nd = gu + w
                 if nd < g.get(v, inf):
                     g[v] = nd
-                    parent[v] = u
-                    heapq.heappush(heap, (nd + h[v], -nd, v))
+                    succ[v] = u
+                    heapq.heappush(heap, (nd + hv, -nd, v))
         return None
 
 
-def yen_pksp(graph: Graph, source: int, target: int, k: int) -> PathCollection:
+def yen_pksp(graph: Graph, source: int, target: int, k: int,
+             tree: Optional[ShortestPathTree] = None) -> PathCollection:
     """Top-k simple shortest paths for one vertex pair.
 
     Shortest path first; every accepted path then spawns spur deviations with
     the root-path vertices and the next edges of all root-sharing accepted
-    paths masked out. Candidates live in a min-queue ordered by the global
-    tie-break (weight, vertex count, vertex sequence); spur generation starts
-    at each path's own deviation index, which provably covers the same
-    candidate space as restarting from the first vertex.
+    paths masked out. Candidates live in a min-queue ordered by (weight,
+    vertex count, vertex sequence); spur generation starts at each path's own
+    deviation index, which provably covers the same candidate space as
+    restarting from the first vertex.
 
-    Spur searches are guided by the target's reverse shortest-path tree on
-    weighted graphs and are early-exit BFS runs on unweighted ones (see the
-    module docstring).
+    Weighted graphs run Yen from the target in the reversed graph, guided by
+    ``tree``, the forward shortest-path tree from ``source`` (built here when
+    not given; pass one to share it across targets). Unweighted graphs run
+    BFS spur searches from the source and ignore ``tree``.
 
     Returns all simple paths, sorted, when fewer than k exist; an unreachable
     target yields an empty collection. Raises ValueError on an out-of-range
-    vertex, source == target or k < 1.
+    vertex, source == target, k < 1 or a tree rooted elsewhere.
     """
     graph._check_vertex(source)
     graph._check_vertex(target)
@@ -219,38 +211,40 @@ def yen_pksp(graph: Graph, source: int, target: int, k: int) -> PathCollection:
         raise ValueError("source and target must differ")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if tree is not None and tree.root != source:
+        raise ValueError(f"tree is rooted at {tree.root}, not at {source}")
     if graph.weighted:
-        spur_path = _GuidedSpurSearch(graph, source, target)
+        spur_path = _SpurSearch(graph, tree or shortest_path_tree(graph, source))
+        start, step = target, -1
     else:
         def spur_path(spur, removed_vertices, removed_arcs):
             return _masked_bfs(graph, spur, target, removed_vertices,
                                removed_arcs)
-    first = spur_path(source, set(), set())
+        start, step = source, 1
+    first = spur_path(start, set(), set())
     if first is None:
         return PathCollection(source, target, [])
-    undirected = not graph.directed
-    accepted: list[tuple[float, tuple[int, ...]]] = []
-    pushed: set[tuple[int, ...]] = {first[1]}
+    accepted: list[tuple[int, ...]] = []
+    pushed = {first[1]}
     # heap entries: (weight, length, sequence, deviation index)
-    heap: list[tuple[float, int, tuple[int, ...], int]] = [
-        (first[0], len(first[1]), first[1], 0)]
+    heap = [(first[0], len(first[1]), first[1], 0)]
     while heap and len(accepted) < k:
-        weight, _, seq, dev = heapq.heappop(heap)
-        accepted.append((weight, seq))
+        _, _, seq, dev = heapq.heappop(heap)
+        accepted.append(seq)
         if len(accepted) == k:
             break
-        prefix_weight = [0.0]
-        for a, b in zip(seq, seq[1:]):
-            prefix_weight.append(prefix_weight[-1] + graph.edge_weight(a, b))
+        arcs = zip(seq, seq[1:]) if step == 1 else zip(seq[1:], seq)
+        prefix_weight = list(accumulate(
+            (graph.edge_weight(a, b) for a, b in arcs), initial=0.0))
         for i in range(dev, len(seq) - 1):
             root = seq[:i + 1]
             spur = seq[i]
             removed_vertices = set(root[:-1])
             removed_arcs: set[tuple[int, int]] = set()
-            for _, aseq in accepted:
+            for aseq in accepted:
                 if aseq[:i + 1] == root and len(aseq) > i + 1:
                     removed_arcs.add((aseq[i], aseq[i + 1]))
-                    if undirected:
+                    if not graph.directed:
                         removed_arcs.add((aseq[i + 1], aseq[i]))
             spur_found = spur_path(spur, removed_vertices, removed_arcs)
             if spur_found is None:
@@ -262,7 +256,9 @@ def yen_pksp(graph: Graph, source: int, target: int, k: int) -> PathCollection:
             pushed.add(candidate)
             heapq.heappush(heap, (prefix_weight[i] + spur_weight,
                                   len(candidate), candidate, i))
-    entries = [Path.from_vertices(graph, seq) for _, seq in accepted]
+    entries = [Path.from_vertices(graph, seq[::step]) for seq in accepted]
+    if graph.weighted:
+        entries.sort()
     return PathCollection(source, target, entries)
 
 

@@ -28,7 +28,7 @@ from typing import Callable, Iterator, Optional
 
 from .graph import Graph
 from .paths import Path, PathCollection, Profile, is_simple, profile
-from .pksp import reconcile_with_existing, yen_pksp
+from .pksp import reconcile_with_existing, shortest_path_tree, yen_pksp
 
 PkspSubroutine = Callable[[Graph, int, int, int], PathCollection]
 ProgressCallback = Callable[[int, int], None]
@@ -355,10 +355,14 @@ def bounded_ssksp(graph: Graph, root: int, k: int,
     predecessor closure via ``super_saturate`` instead of extending. Normal
     insertions are at most k per arc and exceptional insertions at most k per
     vertex; the subroutine runs at most once per vertex. ``pksp`` defaults to
-    ``yen_pksp``.
+    ``yen_pksp`` with one forward tree from the root on weighted graphs.
     """
     if pksp is None:
-        pksp = yen_pksp
+        tree = shortest_path_tree(graph, root) if graph.weighted else None
+
+        def pksp(graph: Graph, source: int, target: int, k: int):
+            # yen_pksp is looked up per call, so replacing it sees each one
+            return yen_pksp(graph, source, target, k, tree=tree)
 
     def extend(path: Path, state: SolverState) -> bool:
         v = path.last
@@ -373,15 +377,16 @@ def bounded_ssksp(graph: Graph, root: int, k: int,
 
 def ss_yen(graph: Graph, root: int, k: int,
            progress: Optional[ProgressCallback] = None) -> SsKsspSolution:
-    """Baseline: solve the single-pair problem independently for every target."""
+    """Baseline: one Yen call per target; weighted runs share one tree."""
     _check_query(graph, root, k)
+    tree = shortest_path_tree(graph, root) if graph.weighted else None
     stats = RunStats()
     collections: dict[int, PathCollection] = {}
     n = graph.vertex_count
     for v in range(n):
         if v == root:
             continue
-        collections[v] = yen_pksp(graph, root, v, k)
+        collections[v] = yen_pksp(graph, root, v, k, tree=tree)
         stats.pksp_calls += 1
         if progress is not None:
             progress(stats.pksp_calls, n - 1 - stats.pksp_calls)

@@ -6,7 +6,7 @@ import pytest
 from ksssp import (Graph, Path, PathCollection, ReconcileError,
                    gen_erdos_renyi, profile, reconcile_with_existing,
                    shortest_path_tree, yen_pksp)
-from ksssp.pksp import _GuidedSpurSearch, _search_tree
+from ksssp.pksp import _SpurSearch
 from util import bellman_ford, masked_dijkstra, oracle_pair_topk, random_cases
 
 TRIANGLE = Graph(3, True, True, [(0, 1, 2.0), (1, 2, 3.0), (0, 2, 10.0)])
@@ -55,24 +55,6 @@ class TestShortestPathTree:
         assert shortest_path_tree(unweighted, 4).dist == \
             shortest_path_tree(as_weighted, 4).dist
 
-    @pytest.mark.parametrize("weighted", [True, False])
-    def test_stop_keeps_exact_distances_within_radius(self, weighted):
-        for seed in range(20):
-            g = gen_erdos_renyi(40, 90, weighted=weighted, directed=True,
-                                seed=seed)
-            full, _ = _search_tree(g.in_adj, weighted, 0)
-            for stop in range(1, 40, 7):
-                dist, parent = _search_tree(g.in_adj, weighted, 0, stop=stop)
-                radius = dist[stop]
-                assert radius == full[stop]
-                for v in range(40):
-                    if dist[v] <= radius:
-                        assert dist[v] == full[v]
-                        if v != 0 and dist[v] < inf:
-                            assert dist[parent[v]] <= radius
-                    else:
-                        assert full[v] >= radius
-
 
 class TestQuery:
     def test_source_equals_target_rejected(self):
@@ -82,6 +64,12 @@ class TestQuery:
     def test_k_positive(self):
         with pytest.raises(ValueError):
             yen_pksp(TRIANGLE, 0, 1, 0)
+
+    def test_tree_rooted_elsewhere_rejected(self):
+        tree = shortest_path_tree(TRIANGLE, 1)
+        with pytest.raises(ValueError):
+            yen_pksp(TRIANGLE, 0, 2, 2, tree=tree)
+        assert profile(yen_pksp(TRIANGLE, 1, 2, 2, tree=tree)) == (3.0,)
 
 
 class TestYen:
@@ -160,80 +148,157 @@ def random_weighted_graph(rng, directed):
                                      for u, v in picked])
 
 
-def tree_path(search, spur, target):
-    seq = [spur]
-    while seq[-1] != target:
-        seq.append(search.succ[seq[-1]])
-    return seq
+def reversed_graph(graph):
+    return Graph(graph.vertex_count, graph.directed, True,
+                 [(v, u, w) for u, v, w in graph.canonical_edges()])
 
 
-def random_mask(rng, graph, spur, target, search):
-    """Random masked vertices and arcs; half the time the mask also cuts the
-    spur's reverse-tree path (at a vertex or at an arc) when it has one."""
-    others = [v for v in range(graph.vertex_count) if v not in (spur, target)]
+def tree_path(tree, v):
+    """The tree path root -> v, as a list."""
+    seq = [v]
+    while tree.parent[seq[-1]] is not None:
+        seq.append(tree.parent[seq[-1]])
+    return seq[::-1]
+
+
+def lightest_in_arcs(graph, tree, spur, removed_vertices, removed_arcs):
+    """The allowed in-neighbours p of the spur minimising d(root, p) + w."""
+    allowed = [(tree.dist[p] + w, p) for p, w in graph.in_adj[spur]
+               if p not in removed_vertices and (spur, p) not in removed_arcs]
+    best = min((d for d, _ in allowed), default=inf)
+    return [p for d, p in allowed if d == best < inf]
+
+
+def random_mask(rng, graph, tree, spur):
+    """A Yen-shaped mask in the reversed orientation: vertices other than the
+    spur and the root, and arcs leaving the spur (with their twins when
+    undirected). Half the time it also cuts the tree path of one of the
+    spur's lightest in-neighbours, at a vertex or at the spur's arc to it."""
+    root = tree.root
+    others = [v for v in range(graph.vertex_count) if v not in (spur, root)]
     removed_vertices = set(rng.sample(others, rng.randint(0, len(others) // 2)))
-    arcs = [(u, v) for u in range(graph.vertex_count)
-            for v, _ in graph.out_adj[u]]
-    removed_arcs = set(rng.sample(arcs, rng.randint(0, len(arcs) // 4)))
-    if search.dist[spur] <= search.radius < inf and rng.random() < 0.5:
-        path = tree_path(search, spur, target)
-        if len(path) > 2 and rng.random() < 0.5:
-            removed_vertices.add(rng.choice(path[1:-1]))
+    outs = [p for p, _ in graph.in_adj[spur]]
+    removed_arcs = {(spur, p) for p in rng.sample(outs, rng.randint(0, len(outs)))}
+    parents = lightest_in_arcs(graph, tree, spur, set(), set())
+    if parents and rng.random() < 0.5:
+        p = rng.choice(parents)
+        inner = tree_path(tree, p)[1:]
+        if inner and rng.random() < 0.5:
+            removed_vertices.add(rng.choice(inner))
         else:
-            i = rng.randrange(len(path) - 1)
-            removed_arcs.add((path[i], path[i + 1]))
+            removed_arcs.add((spur, p))
+    if not graph.directed:
+        removed_arcs |= {(b, a) for a, b in removed_arcs}
+    removed_vertices.discard(spur)
     return removed_vertices, removed_arcs
 
 
-class TestGuidedSpurSearch:
-    """The reverse-tree shortcut and A* against a plain masked Dijkstra."""
+class CountingSpurSearch(_SpurSearch):
+    """The spur search, counting how many spurs fell back to A*."""
 
-    def check(self, search, graph, spur, target, removed_vertices,
-              removed_arcs):
-        want = masked_dijkstra(graph, spur, target, removed_vertices,
-                               removed_arcs)
+    __slots__ = ("astar_runs",)
+
+    def __init__(self, graph, tree):
+        super().__init__(graph, tree)
+        self.astar_runs = 0
+
+    def _astar(self, *args):
+        self.astar_runs += 1
+        return super()._astar(*args)
+
+
+class TestGuidedSpurSearch:
+    """The sidetrack shortcut and A* over the reversed graph against a plain
+    masked Dijkstra on the reversed graph."""
+
+    def check(self, graph, tree, spur, removed_vertices, removed_arcs):
+        """Check one spur search; returns whether it ran A*."""
+        root = tree.root
+        want = masked_dijkstra(reversed_graph(graph), spur, root,
+                               removed_vertices, removed_arcs)
+        search = CountingSpurSearch(graph, tree)
         got = search(spur, removed_vertices, removed_arcs)
         if want == inf:
             assert got is None
-            return
+            return search.astar_runs > 0
         weight, seq = got
         assert weight == want
-        assert seq[0] == spur and seq[-1] == target
+        assert seq[0] == spur and seq[-1] == root
         assert len(set(seq)) == len(seq)
         assert not removed_vertices & set(seq)
         arcs = list(zip(seq, seq[1:]))
         assert not removed_arcs & set(arcs)
-        assert sum(graph.edge_weight(u, v) for u, v in arcs) == weight
+        assert sum(graph.edge_weight(v, u) for u, v in arcs) == weight
+        return search.astar_runs > 0
 
     @pytest.mark.parametrize("directed", [True, False])
     def test_matches_masked_dijkstra(self, directed):
-        rng = random.Random(2014 + directed)
+        rng = random.Random(2016 + directed)
+        runs = {False: 0, True: 0}
         for _ in range(300):
             graph = random_weighted_graph(rng, directed)
             n = graph.vertex_count
-            source, target = rng.sample(range(n), 2)
-            search = _GuidedSpurSearch(graph, source, target)
+            tree = shortest_path_tree(graph, rng.randrange(n))
             for spur in range(n):
-                if spur == target:
+                if spur == tree.root:
                     continue
-                mask = random_mask(rng, graph, spur, target, search)
-                self.check(search, graph, spur, target, *mask)
-                self.check(search, graph, spur, target, set(), set())
+                for mask in (random_mask(rng, graph, tree, spur),
+                             (set(), set())):
+                    ran_astar = self.check(graph, tree, spur, *mask)
+                    runs[ran_astar] += 1
+                    lightest = lightest_in_arcs(graph, tree, spur, *mask)
+                    if lightest and all(
+                            spur not in tree_path(tree, p)
+                            and not mask[0] & set(tree_path(tree, p))
+                            for p in lightest):
+                        assert not ran_astar    # the shortcut is exact here
+        assert runs[False] > 1000 and runs[True] > 100
+
+    def test_sidetrack_parent_skips_masked_tree_parent(self):
+        # root 0; tree parent of 3 is 1, but the arc 1->3 (or 1) is masked,
+        # and the next lightest in-arc 2->3 has a clean tree path
+        g = Graph(4, True, True, [(0, 1, 1.0), (1, 3, 1.0), (0, 2, 1.0),
+                                  (2, 3, 2.0)])
+        tree = shortest_path_tree(g, 0)
+        assert tree.parent[3] == 1
+        for mask in ((set(), {(3, 1)}), ({1}, set())):
+            search = CountingSpurSearch(g, tree)
+            assert search(3, *mask) == (3.0, (3, 2, 0))
+            assert search.astar_runs == 0
+
+    def test_parent_tree_path_through_spur(self):
+        # 0->1 (1), 1->2 (0), 2->1 (0): the tree path of 2 runs through the
+        # spur 1, and 2->1 ties with 0->1 at weight 1
+        g = Graph(3, True, True, [(0, 1, 1.0), (1, 2, 0.0), (2, 1, 0.0)])
+        tree = shortest_path_tree(g, 0)
+        search = _SpurSearch(g, tree)
+        assert search(1, set(), set()) == (1.0, (1, 0))
+        assert search(1, set(), {(1, 0)}) is None
+        assert search(2, set(), set()) == (1.0, (2, 1, 0))
+
+    def test_spur_next_to_root(self):
+        g = Graph(3, False, True, [(0, 1, 4.0), (0, 2, 1.0), (2, 1, 1.0)])
+        tree = shortest_path_tree(g, 0)
+        search = _SpurSearch(g, tree)
+        assert search(1, set(), set()) == (2.0, (1, 2, 0))
+        assert search(1, set(), {(1, 2), (2, 1)}) == (4.0, (1, 0))
+        assert search(1, {2}, set()) == (4.0, (1, 0))
 
     def test_unreachable_only_after_masking(self):
         # 0->1->3 and 0->2->3; masking both arcs into 3 cuts it off
         g = Graph(4, True, True, [(0, 1, 1.0), (1, 3, 0.0), (0, 2, 2.0),
                                   (2, 3, 0.0)])
-        assert _GuidedSpurSearch(g, 0, 3)(0, set(), {(1, 3), (2, 3)}) is None
-        assert _GuidedSpurSearch(g, 0, 3)(0, {1, 2}, set()) is None
-        assert _GuidedSpurSearch(g, 0, 3)(0, {1}, set()) == (2.0, (0, 2, 3))
+        search = _SpurSearch(g, shortest_path_tree(g, 0))
+        assert search(3, set(), {(3, 1), (3, 2)}) is None
+        assert search(3, {1, 2}, set()) is None
+        assert search(3, {1}, set()) == (2.0, (3, 2, 0))
 
     def test_unreachable_target(self):
-        g = Graph(4, True, True, [(0, 1, 1.0), (1, 2, 1.0), (3, 0, 1.0)])
-        search = _GuidedSpurSearch(g, 0, 3)
-        assert search.radius == inf
-        for spur in (0, 1, 2):
-            assert search(spur, set(), set()) is None
+        g = Graph(4, True, True, [(0, 1, 1.0), (1, 2, 1.0), (3, 0, 1.0),
+                                  (3, 2, 1.0)])
+        search = _SpurSearch(g, shortest_path_tree(g, 0))
+        assert search(3, set(), set()) is None
+        assert search(2, set(), {(2, 1)}) is None
 
     def test_yen_matches_brute_force_weighted(self):
         rng = random.Random(88)
@@ -249,6 +314,7 @@ class TestGuidedSpurSearch:
             want = oracle_pair_topk(graph, root, target, k)
             assert profile(col) == tuple(w for w, _ in want)
             assert len({p.vertices() for p in col.entries}) == len(want)
+            assert col.entries == sorted(col.entries)
             done += 1
         assert done >= 50
 

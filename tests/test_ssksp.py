@@ -4,6 +4,7 @@ from math import inf
 
 import pytest
 
+import ksssp.pksp as pksp_mod
 import ksssp.ssksp as ssksp_mod
 from ksssp import (Graph, Path, PathCollection, EnumerationCapExceeded,
                    RankedPathQueue, bounded_ssksp, count_simple_paths,
@@ -244,9 +245,9 @@ class TestSuperSaturate:
         # ss-yen; a default bound at definition time would bypass it.
         calls = []
 
-        def spy(graph, s, t, k):
+        def spy(graph, s, t, k, **kw):
             calls.append(t)
-            return yen_pksp(graph, s, t, k)
+            return yen_pksp(graph, s, t, k, **kw)
 
         monkeypatch.setattr(ssksp_mod, "yen_pksp", spy)
         inst = gen_pruned_adversarial(2)
@@ -254,6 +255,25 @@ class TestSuperSaturate:
             calls.clear()
             sol = solve(inst.graph, inst.root, 3)
             assert calls and len(calls) == sol.stats.pksp_calls
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_one_forward_tree_per_run(self, weighted, monkeypatch):
+        # bounded and ss-yen build the root's tree once for all their Yen
+        # calls on weighted graphs, and none on unweighted ones.
+        trees = []
+        real = pksp_mod._search_tree
+
+        def spy(adj, tree_weighted, root):
+            trees.append((adj, tree_weighted, root))
+            return real(adj, tree_weighted, root)
+
+        monkeypatch.setattr(pksp_mod, "_search_tree", spy)
+        g = gen_erdos_renyi(30, 90, weighted=weighted, directed=True, seed=4)
+        for solve in (bounded_ssksp, ss_yen):
+            trees.clear()
+            sol = solve(g, 2, 3)
+            assert sol.stats.pksp_calls > 1
+            assert trees == ([(g.out_adj, True, 2)] if weighted else [])
 
     def test_closure_walk_matches_vertex_union(self, monkeypatch):
         # Every super_saturate call of a bounded run enqueues the same paths
@@ -536,9 +556,9 @@ class TestProgressCallback:
             per_closure.append(0)
             return real(*args)
 
-        def counted_yen(graph, s, t, k):
+        def counted_yen(graph, s, t, k, **kw):
             per_closure[-1] += 1
-            return yen_pksp(graph, s, t, k)
+            return yen_pksp(graph, s, t, k, **kw)
 
         monkeypatch.setattr(ssksp_mod, "super_saturate", counted_closure)
         monkeypatch.setattr(ssksp_mod, "yen_pksp", counted_yen)
