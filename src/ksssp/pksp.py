@@ -4,23 +4,26 @@
 baseline solver and, wrapped to 4 arguments, is the bounded solver's default
 subroutine. Both pass it one forward shortest-path tree from the root.
 
-On weighted graphs Yen runs in the reversed graph, from the target back to
-the source, so every spur search ends at the source and one forward Dijkstra
-tree serves every call. A spur u first tries the one-sidetrack shortcut
-(Eppstein, SIAM J. Comput. 1998; Kurz & Mutzel, ISAAC 2016): if the tree path
-of u's lightest allowed in-neighbour p (by d(source, p) + w) avoids the mask
-and u, it plus the arc (p, u) is a shortest masked path. Any other spur runs
-A* with the exact heuristic d(source, v). Unweighted graphs keep a BFS per
-spur: guided, it sped ``ss-yen`` past the bounded solver on unweighted ER.
+Every shortest-path search runs in ``_search``: a masked BFS on unweighted
+graphs, a masked A* (Dijkstra without a heuristic) on weighted ones. Weighted
+Yen runs in the reversed graph, from the target back to the source, so every
+spur search ends at the source and one forward tree serves every call. A spur
+u first tries the one-sidetrack shortcut (Eppstein, SIAM J. Comput. 1998;
+Kurz & Mutzel, ISAAC 2016): if the tree path of u's lightest allowed
+in-neighbour p (by d(source, p) + w) avoids the mask and u, it plus the arc
+(p, u) is a shortest masked path. Any other spur runs A* with the exact
+heuristic d(source, v). Unweighted spurs run an unguided BFS: guided, it sped
+``ss-yen`` past the bounded solver on unweighted ER.
 """
 from __future__ import annotations
 
 import heapq
 from collections import Counter, deque
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
 from math import inf
-from typing import Optional
+from typing import Collection, Optional
 
 from .graph import Graph
 from .paths import Path, PathCollection, profile
@@ -37,13 +40,20 @@ class ShortestPathTree:
     parent: list[Optional[int]]
 
 
-def _search_tree(adj: list[list[tuple[int, float]]], weighted: bool, root: int,
-                 ) -> tuple[list[float], list[Optional[int]]]:
-    """Distances and tree parents from ``root`` over the adjacency lists ``adj``.
+def _search(adj: list[list[tuple[int, float]]], weighted: bool, root: int,
+            target: Optional[int] = None,
+            removed_vertices: Collection[int] = frozenset(),
+            removed_arcs: Collection[tuple[int, int]] = frozenset(),
+            h: Optional[list[float]] = None,
+            ) -> tuple[list[float], list[Optional[int]]]:
+    """Distances and parents from ``root`` over ``adj`` avoiding the mask;
+    unlabelled vertices keep dist=inf and no parent.
 
-    Weighted graphs use Dijkstra on a binary heap; unweighted graphs use a
-    breadth-first visit, which yields identical distances at unit weights.
-    Unreached vertices keep dist=inf and no parent.
+    Unweighted graphs run BFS, stopping once ``target`` is labelled. Weighted
+    graphs run A* keyed (g + h, -g, v), so of equal estimates the one nearer
+    the root goes first; it skips vertices with h = inf and stops once
+    ``target`` is settled. ``h`` must be consistent toward ``target``; left
+    out it is zero, which makes this Dijkstra.
     """
     dist = [inf] * len(adj)
     parent: list[Optional[int]] = [None] * len(adj)
@@ -54,22 +64,31 @@ def _search_tree(adj: list[list[tuple[int, float]]], weighted: bool, root: int,
             u = queue.popleft()
             du = dist[u] + 1.0
             for v, _ in adj[u]:
-                if dist[v] == inf:
+                if dist[v] == inf and v not in removed_vertices \
+                        and (u, v) not in removed_arcs:
                     dist[v] = du
                     parent[v] = u
+                    if v == target:
+                        return dist, parent
                     queue.append(v)
         return dist, parent
-    heap = [(0.0, root)]
+    if h is None:
+        h = [0.0] * len(adj)
+    heap = [(h[root], -0.0, root)]
     while heap:
-        du, u = heapq.heappop(heap)
-        if du > dist[u]:
+        _, neg_gu, u = heapq.heappop(heap)
+        gu = -neg_gu
+        if gu > dist[u]:
             continue
+        if u == target:
+            break
         for v, w in adj[u]:
-            nd = du + w
-            if nd < dist[v]:
+            nd = gu + w
+            if nd < dist[v] and h[v] != inf and v not in removed_vertices \
+                    and (u, v) not in removed_arcs:
                 dist[v] = nd
                 parent[v] = u
-                heapq.heappush(heap, (nd, v))
+                heapq.heappush(heap, (nd + h[v], -nd, v))
     return dist, parent
 
 
@@ -77,112 +96,64 @@ def shortest_path_tree(graph: Graph, source: int) -> ShortestPathTree:
     """Exact single-source distances and parents (Dijkstra, or BFS when
     unweighted). Unreachable vertices keep dist=inf and no parent."""
     graph._check_vertex(source)
-    dist, parent = _search_tree(graph.out_adj, graph.weighted, source)
+    dist, parent = _search(graph.out_adj, graph.weighted, source)
     return ShortestPathTree(source, dist, parent)
 
 
 SpurPath = Optional[tuple[float, tuple[int, ...]]]
 
 
-def _masked_bfs(graph: Graph, source: int, target: int,
-                removed_vertices: set[int], removed_arcs: set[tuple[int, int]],
-                ) -> SpurPath:
-    """Fewest-arc (weight, vertex sequence) source->target path of an
-    unweighted graph avoiding the mask, or None; stops once target is
-    labelled."""
-    dist = [inf] * graph.vertex_count
-    parent = [-1] * graph.vertex_count
-    dist[source] = 0.0
-    out_adj = graph.out_adj
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u] + 1.0
-        for v, _ in out_adj[u]:
-            if dist[v] == inf and v not in removed_vertices \
-                    and (u, v) not in removed_arcs:
-                dist[v] = du
-                parent[v] = u
-                if v == target:
-                    return du, _trace_back(parent, source, target)
-                queue.append(v)
-    return None
-
-
-def _trace_back(parent: list[int] | dict[int, int], source: int,
-                target: int) -> tuple[int, ...]:
+def _masked_path(adj: list[list[tuple[int, float]]], weighted: bool,
+                 target: int, h: Optional[list[float]], source: int,
+                 removed_vertices: set[int],
+                 removed_arcs: set[tuple[int, int]]) -> SpurPath:
+    """Shortest (weight, vertex sequence) source->target path over ``adj``
+    avoiding the mask, or None; a spur search binds the first four."""
+    dist, parent = _search(adj, weighted, source, target, removed_vertices,
+                           removed_arcs, h)
+    if dist[target] == inf:
+        return None
     seq = [target]
     while seq[-1] != source:
         seq.append(parent[seq[-1]])
-    return tuple(reversed(seq))
+    return dist[target], tuple(reversed(seq))
 
 
-class _SpurSearch:
-    """Masked shortest spur->root paths of the reversed weighted graph.
+def _sidetrack_spur(in_adj: list[list[tuple[int, float]]],
+                    tree: ShortestPathTree, spur: int,
+                    removed_vertices: set[int],
+                    removed_arcs: set[tuple[int, int]]) -> SpurPath:
+    """Shortest spur->root path of the reversed weighted graph avoiding the
+    mask, or None.
 
     The path (u, ..., root) here is (root, ..., u) in the graph, and the
     root's forward tree gives h(v) = d(root, v), a consistent lower bound
     under any mask. As in Yen, the spur is not the root, the root is not
     masked, and every masked arc (in the reversed orientation) touches the
-    spur, so a tree path avoiding the spur avoids them all. A* keys are
-    (g + h, -g, v): of equal estimates, the one nearer the root goes first.
+    spur, so a tree path avoiding the spur avoids them all. When the tree
+    path of the spur's lightest allowed in-neighbour does not, A* runs.
     """
-
-    __slots__ = ("in_adj", "tree")
-
-    def __init__(self, graph: Graph, tree: ShortestPathTree):
-        self.in_adj = graph.in_adj
-        self.tree = tree
-
-    def __call__(self, spur: int, removed_vertices: set[int],
-                 removed_arcs: set[tuple[int, int]]) -> SpurPath:
-        """Shortest spur->root path avoiding the mask, or None."""
-        dist = self.tree.dist
-        best = inf
-        via = spur
-        for p, w in self.in_adj[spur]:
-            d = dist[p] + w
-            if d < best and p not in removed_vertices \
-                    and (spur, p) not in removed_arcs:
-                best = d
-                via = p
-        if best == inf:
-            return None
-        parent = self.tree.parent
-        seq = [spur]
-        p: Optional[int] = via
-        while p is not None:
-            if p == spur or p in removed_vertices:
-                return self._astar(spur, removed_vertices, removed_arcs)
-            seq.append(p)
-            p = parent[p]
-        return best, tuple(seq)
-
-    def _astar(self, spur: int, removed_vertices: set[int],
-               removed_arcs: set[tuple[int, int]]) -> SpurPath:
-        root = self.tree.root
-        in_adj = self.in_adj
-        h = self.tree.dist
-        g = {spur: 0.0}
-        succ: dict[int, int] = {}
-        heap = [(h[spur], -0.0, spur)]
-        while heap:
-            _, neg_gu, u = heapq.heappop(heap)
-            gu = -neg_gu
-            if gu > g[u]:
-                continue
-            if u == root:
-                return gu, _trace_back(succ, spur, root)
-            for v, w in in_adj[u]:
-                hv = h[v]
-                if hv == inf or v in removed_vertices or (u, v) in removed_arcs:
-                    continue
-                nd = gu + w
-                if nd < g.get(v, inf):
-                    g[v] = nd
-                    succ[v] = u
-                    heapq.heappush(heap, (nd + hv, -nd, v))
+    dist = tree.dist
+    best = inf
+    via = spur
+    for p, w in in_adj[spur]:
+        d = dist[p] + w
+        if d < best and p not in removed_vertices \
+                and (spur, p) not in removed_arcs:
+            best = d
+            via = p
+    if best == inf:
         return None
+    parent = tree.parent
+    seq = [spur]
+    p: Optional[int] = via
+    while p is not None:
+        if p == spur or p in removed_vertices:
+            return _masked_path(in_adj, True, tree.root, dist, spur,
+                                removed_vertices, removed_arcs)
+        seq.append(p)
+        p = parent[p]
+    return best, tuple(seq)
 
 
 def yen_pksp(graph: Graph, source: int, target: int, k: int,
@@ -214,12 +185,11 @@ def yen_pksp(graph: Graph, source: int, target: int, k: int,
     if tree is not None and tree.root != source:
         raise ValueError(f"tree is rooted at {tree.root}, not at {source}")
     if graph.weighted:
-        spur_path = _SpurSearch(graph, tree or shortest_path_tree(graph, source))
+        spur_path = partial(_sidetrack_spur, graph.in_adj,
+                            tree or shortest_path_tree(graph, source))
         start, step = target, -1
     else:
-        def spur_path(spur, removed_vertices, removed_arcs):
-            return _masked_bfs(graph, spur, target, removed_vertices,
-                               removed_arcs)
+        spur_path = partial(_masked_path, graph.out_adj, False, target, None)
         start, step = source, 1
     first = spur_path(start, set(), set())
     if first is None:

@@ -106,8 +106,6 @@ class SolverState:
     root: int
     k: int
     paths_to: list[list[Path]]          # T_v, appended in dequeue order
-    vertices_on: list[set[int]]         # V(T_v), filled by pruned's guard;
-                                        # read only by ``pruning_test``
     unsaturated_count: int              # |{w != root : |T_w| < k}|
     super_saturated: set[int]
     queue: RankedPathQueue
@@ -152,7 +150,6 @@ def _init_state(graph: Graph, root: int, k: int,
     return SolverState(
         root=root, k=k,
         paths_to=[[] for _ in range(n)],
-        vertices_on=[set() for _ in range(n)],
         unsaturated_count=n - 1,
         super_saturated={root},
         queue=queue,
@@ -230,17 +227,16 @@ def exh_ssksp(graph: Graph, root: int, k: int,
     return _run_queue(graph, root, k, progress, lambda path, state: True)
 
 
-def pruning_test(v: int, graph: Graph, state: SolverState,
-                 root: int, k: int) -> bool:
+def pruning_test(v: int, graph: Graph, state: SolverState, root: int, k: int,
+                 vertices_on: list[set[int]]) -> bool:
     """True iff every general predecessor of v other than the root is saturated.
 
     Breadth-first visit of the transpose graph that steps from x only to
-    in-neighbors lying on paths already collected for x; returns False the
-    moment an unsaturated non-root vertex is reached.
+    in-neighbors in ``vertices_on[x]``, the vertices of paths collected for x;
+    returns False the moment an unsaturated non-root vertex is reached.
     """
     state.stats.pruning_calls += 1
     paths_to = state.paths_to
-    vertices_on = state.vertices_on
     in_adj = graph.in_adj
     queue = deque([v])
     seen = {v}
@@ -267,12 +263,15 @@ def pruned_ssksp(graph: Graph, root: int, k: int,
     root from the saturation check, so it would otherwise prune the entire
     search on its first step.
     """
+    vertices_on: list[set[int]] = [set() for _ in range(graph.vertex_count)]
+
     def extend(path: Path, state: SolverState) -> bool:
         v = path.last
-        keep = path.length == 1 or not pruning_test(v, graph, state, root, k)
+        keep = path.length == 1 or not pruning_test(v, graph, state, root, k,
+                                                    vertices_on)
         # The engine appends the path to T_v under this same condition.
         if len(state.paths_to[v]) < k:
-            state.vertices_on[v].update(path.vertices())
+            vertices_on[v].update(path.vertices())
         return keep
 
     return _run_queue(graph, root, k, progress, extend)
@@ -482,10 +481,18 @@ def collection_violations(graph: Graph, collection: PathCollection,
             problems.append(f"vertex {t} rank {rank}: endpoints {verts[0]}->{verts[-1]}")
         if not is_simple(path):
             problems.append(f"vertex {t} rank {rank}: path not simple")
+        # Solvers sum weights as a left fold from the root: compare exactly.
+        weight = 0.0
         for a, b in zip(verts, verts[1:]):
-            if graph.edge_weight(a, b) is None:
+            w = graph.edge_weight(a, b)
+            if w is None:
                 problems.append(f"vertex {t} rank {rank}: missing edge ({a},{b})")
                 break
+            weight += w
+        else:
+            if path.weight != weight:
+                problems.append(f"vertex {t} rank {rank}: weight {path.weight!r}"
+                                f" is not the arc sum {weight!r}")
         if path in seen:
             problems.append(f"vertex {t} rank {rank}: duplicate path")
         seen.add(path)

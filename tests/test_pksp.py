@@ -1,12 +1,16 @@
+import inspect
 import random
+from collections import Counter
+from functools import partial
 from math import inf
 
 import pytest
 
+import ksssp.pksp as pksp_mod
 from ksssp import (Graph, Path, PathCollection, ReconcileError,
                    gen_erdos_renyi, profile, reconcile_with_existing,
                    shortest_path_tree, yen_pksp)
-from ksssp.pksp import _SpurSearch
+from ksssp.pksp import _masked_path, _sidetrack_spur
 from util import bellman_ford, masked_dijkstra, oracle_pair_topk, random_cases
 
 TRIANGLE = Graph(3, True, True, [(0, 1, 2.0), (1, 2, 3.0), (0, 2, 10.0)])
@@ -137,15 +141,17 @@ class TestYen:
             assert weights == sorted(weights)
 
 
-def random_weighted_graph(rng, directed):
+def random_weighted_graph(rng, directed, weighted=True):
     """Small graph with integer weights 0..4, so zero-weight arcs and weight
-    ties are common and every path weight is exact."""
+    ties are common and every path weight is exact; unit weights when not
+    ``weighted``."""
     n = rng.randint(2, 14)
     pairs = [(u, v) for u in range(n) for v in range(n)
              if u != v and (directed or u < v)]
     picked = rng.sample(pairs, rng.randint(0, min(len(pairs), 3 * n)))
-    return Graph(n, directed, True, [(u, v, float(rng.randint(0, 4)))
-                                     for u, v in picked])
+    return Graph(n, directed, weighted,
+                 [(u, v, float(rng.randint(0, 4)) if weighted else 1.0)
+                  for u, v in picked])
 
 
 def reversed_graph(graph):
@@ -193,18 +199,80 @@ def random_mask(rng, graph, tree, spur):
     return removed_vertices, removed_arcs
 
 
-class CountingSpurSearch(_SpurSearch):
-    """The spur search, counting how many spurs fell back to A*."""
+def spur_search(graph, tree):
+    """The weighted spur search of Yen over ``graph`` guided by ``tree``."""
+    return partial(_sidetrack_spur, graph.in_adj, tree)
 
-    __slots__ = ("astar_runs",)
+
+class CountingSpurSearch:
+    """The spur search, counting how many spurs fell back to A*: calls of the
+    search routine with a heuristic ``h``."""
 
     def __init__(self, graph, tree):
-        super().__init__(graph, tree)
+        self.search = spur_search(graph, tree)
         self.astar_runs = 0
 
-    def _astar(self, *args):
-        self.astar_runs += 1
-        return super()._astar(*args)
+    def __call__(self, *args):
+        real = pksp_mod._search
+        bind = inspect.signature(real).bind
+
+        def spy(*a, **kw):
+            if bind(*a, **kw).arguments.get("h") is not None:
+                self.astar_runs += 1
+            return real(*a, **kw)
+
+        pksp_mod._search = spy
+        try:
+            return self.search(*args)
+        finally:
+            pksp_mod._search = real
+
+
+class TestUnweightedSpurSearch:
+    """Yen's unweighted spur search, a masked BFS that stops at the target,
+    against a plain masked Dijkstra at unit weights."""
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_matches_masked_dijkstra(self, directed):
+        rng = random.Random(1959 + directed)
+        kinds = Counter()
+        for _ in range(250):
+            graph = random_weighted_graph(rng, directed, weighted=False)
+            n = graph.vertex_count
+            arcs = [(u, v) for u in range(n) for v, _ in graph.out_adj[u]]
+            source = rng.randrange(n)
+            for target in range(n):
+                if target == source:
+                    continue
+                others = [v for v in range(n) if v not in (source, target)]
+                mask = (set(rng.sample(others, rng.randint(0, len(others) // 3))),
+                        set(rng.sample(arcs, rng.randint(0, len(arcs) // 3))))
+                reachable = self.check(graph, source, target, set(), set())
+                cut_off = reachable and not self.check(graph, source, target,
+                                                       *mask)
+                kinds[reachable, cut_off] += 1
+        assert kinds[True, False] > 500 and kinds[True, True] > 100
+        assert kinds[False, False] > 100
+
+    @staticmethod
+    def check(graph, source, target, removed_vertices, removed_arcs):
+        """Check one spur search; returns whether it found a path."""
+        want = masked_dijkstra(graph, source, target, removed_vertices,
+                               removed_arcs)
+        got = _masked_path(graph.out_adj, False, target, None, source,
+                           removed_vertices, removed_arcs)
+        if want == inf:
+            assert got is None
+            return False
+        weight, seq = got
+        assert weight == want == len(seq) - 1
+        assert seq[0] == source and seq[-1] == target
+        assert len(set(seq)) == len(seq)
+        assert not removed_vertices & set(seq)
+        arcs = set(zip(seq, seq[1:]))
+        assert not removed_arcs & arcs
+        assert all(graph.edge_weight(u, v) == 1.0 for u, v in arcs)
+        return True
 
 
 class TestGuidedSpurSearch:
@@ -271,7 +339,7 @@ class TestGuidedSpurSearch:
         # spur 1, and 2->1 ties with 0->1 at weight 1
         g = Graph(3, True, True, [(0, 1, 1.0), (1, 2, 0.0), (2, 1, 0.0)])
         tree = shortest_path_tree(g, 0)
-        search = _SpurSearch(g, tree)
+        search = spur_search(g, tree)
         assert search(1, set(), set()) == (1.0, (1, 0))
         assert search(1, set(), {(1, 0)}) is None
         assert search(2, set(), set()) == (1.0, (2, 1, 0))
@@ -279,7 +347,7 @@ class TestGuidedSpurSearch:
     def test_spur_next_to_root(self):
         g = Graph(3, False, True, [(0, 1, 4.0), (0, 2, 1.0), (2, 1, 1.0)])
         tree = shortest_path_tree(g, 0)
-        search = _SpurSearch(g, tree)
+        search = spur_search(g, tree)
         assert search(1, set(), set()) == (2.0, (1, 2, 0))
         assert search(1, set(), {(1, 2), (2, 1)}) == (4.0, (1, 0))
         assert search(1, {2}, set()) == (4.0, (1, 0))
@@ -288,7 +356,7 @@ class TestGuidedSpurSearch:
         # 0->1->3 and 0->2->3; masking both arcs into 3 cuts it off
         g = Graph(4, True, True, [(0, 1, 1.0), (1, 3, 0.0), (0, 2, 2.0),
                                   (2, 3, 0.0)])
-        search = _SpurSearch(g, shortest_path_tree(g, 0))
+        search = spur_search(g, shortest_path_tree(g, 0))
         assert search(3, set(), {(3, 1), (3, 2)}) is None
         assert search(3, {1, 2}, set()) is None
         assert search(3, {1}, set()) == (2.0, (3, 2, 0))
@@ -296,7 +364,7 @@ class TestGuidedSpurSearch:
     def test_unreachable_target(self):
         g = Graph(4, True, True, [(0, 1, 1.0), (1, 2, 1.0), (3, 0, 1.0),
                                   (3, 2, 1.0)])
-        search = _SpurSearch(g, shortest_path_tree(g, 0))
+        search = spur_search(g, shortest_path_tree(g, 0))
         assert search(3, set(), set()) is None
         assert search(2, set(), {(2, 1)}) is None
 

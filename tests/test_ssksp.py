@@ -21,12 +21,14 @@ SOLVERS = {"exh": exh_ssksp, "pruned": pruned_ssksp, "bounded": bounded_ssksp,
            "ss-yen": ss_yen}
 
 
-def force_collect(state, graph, seq):
-    """Install a path into the state's collections, as if dequeued."""
+def force_collect(state, graph, seq, vertices_on=None):
+    """Install a path into the state's collections, as if dequeued, and into
+    pruned's vertex sets V(T_v) when given."""
     path = Path.from_vertices(graph, seq)
     v = path.last
     state.paths_to[v].append(path)
-    state.vertices_on[v].update(seq)
+    if vertices_on is not None:
+        vertices_on[v].update(seq)
     return path
 
 
@@ -124,21 +126,24 @@ class TestPruningTest:
     def test_root_only_predecessor_saturated(self):
         g = Graph(2, True, True, [(0, 1, 1.0)])
         state = _init_state(g, 0, 1)
-        force_collect(state, g, (0, 1))
-        assert pruning_test(1, g, state, 0, 1) is True
+        vertices_on = [set(), set()]
+        force_collect(state, g, (0, 1), vertices_on)
+        assert pruning_test(1, g, state, 0, 1, vertices_on) is True
 
     def test_unsaturated_first_hop(self):
         g = Graph(3, True, True, [(0, 1, 1.0), (1, 2, 1.0)])
         state = _init_state(g, 0, 1)
-        force_collect(state, g, (0, 1, 2))
+        vertices_on = [set(), set(), set()]
+        force_collect(state, g, (0, 1, 2), vertices_on)
         # T_1 still empty: 1 is an in-neighbor of 2 lying on T_2's paths
-        assert pruning_test(2, g, state, 0, 1) is False
+        assert pruning_test(2, g, state, 0, 1, vertices_on) is False
 
     def test_unsaturated_anchor_fails_immediately(self):
         g = Graph(2, True, True, [(0, 1, 1.0)])
         state = _init_state(g, 0, 2)
-        force_collect(state, g, (0, 1))
-        assert pruning_test(1, g, state, 0, 2) is False
+        vertices_on = [set(), set()]
+        force_collect(state, g, (0, 1), vertices_on)
+        assert pruning_test(1, g, state, 0, 2, vertices_on) is False
 
     def test_detour_ladder_entry_blocks_pruning(self):
         # During a real run at k=3: once the third path into x_3 arrives, the
@@ -149,8 +154,8 @@ class TestPruningTest:
         observed = []
         real = ssksp_mod.pruning_test
 
-        def recorder(v, graph, state, root, k_):
-            result = real(v, graph, state, root, k_)
+        def recorder(v, graph, state, root, k_, vertices_on):
+            result = real(v, graph, state, root, k_, vertices_on)
             if v == x3 and len(state.paths_to[x3]) == k:
                 observed.append((result, len(state.paths_to[x1])))
             return result
@@ -172,12 +177,12 @@ class TestPruned:
         real = ssksp_mod.pruning_test
         calls = []
 
-        def checked(v, graph, state, root, k):
+        def checked(v, graph, state, root, k, vertices_on):
             calls.append(v)
             for x in range(graph.vertex_count):
-                assert state.vertices_on[x] == set().union(
+                assert vertices_on[x] == set().union(
                     *(p.vertices() for p in state.paths_to[x]))
-            return real(v, graph, state, root, k)
+            return real(v, graph, state, root, k, vertices_on)
 
         monkeypatch.setattr(ssksp_mod, "pruning_test", checked)
         cases = list(random_cases(30, seed=77, max_n=14))
@@ -261,19 +266,20 @@ class TestSuperSaturate:
         # bounded and ss-yen build the root's tree once for all their Yen
         # calls on weighted graphs, and none on unweighted ones.
         trees = []
-        real = pksp_mod._search_tree
+        real = pksp_mod.shortest_path_tree
 
-        def spy(adj, tree_weighted, root):
-            trees.append((adj, tree_weighted, root))
-            return real(adj, tree_weighted, root)
+        def spy(graph, source):
+            trees.append((graph, source))
+            return real(graph, source)
 
-        monkeypatch.setattr(pksp_mod, "_search_tree", spy)
+        monkeypatch.setattr(pksp_mod, "shortest_path_tree", spy)
+        monkeypatch.setattr(ssksp_mod, "shortest_path_tree", spy)
         g = gen_erdos_renyi(30, 90, weighted=weighted, directed=True, seed=4)
         for solve in (bounded_ssksp, ss_yen):
             trees.clear()
             sol = solve(g, 2, 3)
             assert sol.stats.pksp_calls > 1
-            assert trees == ([(g.out_adj, True, 2)] if weighted else [])
+            assert trees == ([(g, 2)] if weighted else [])
 
     def test_closure_walk_matches_vertex_union(self, monkeypatch):
         # Every super_saturate call of a bounded run enqueues the same paths
@@ -487,6 +493,14 @@ class TestSolutionStructure:
                     assert closures[x].members <= closure.members
             runs += 1
         assert runs >= 20
+
+    def test_weight_other_than_arc_sum_is_a_violation(self):
+        g = Graph(2, True, True, [(0, 1, 1.0)])
+        sol = bounded_ssksp(g, 0, 1)
+        assert not solution_violations(g, sol, "bounded")
+        sol.collections[1].entries[0] = Path.single(0).extend_to(1, 5.0)
+        assert solution_violations(g, sol, "bounded") == [
+            "vertex 1 rank 0: weight 5.0 is not the arc sum 1.0"]
 
     @staticmethod
     def _prefix_cases():
