@@ -5,14 +5,13 @@ with prefix sharing, single-pair machinery (shortest path trees and Yen's
 algorithm), three single-source solvers with a brute-force oracle, and a CLI.
 """
 from .graph import (DetourLadder, DoublingLadder, Graph, GraphFormatError,
-                    GraphHeader, IdMap, dump_graph, extract_largest_component,
+                    IdMap, dump_graph, extract_largest_component,
                     gen_barabasi_albert, gen_erdos_renyi, gen_exh_adversarial,
                     gen_pruned_adversarial, induced_subgraph, load_graph,
                     load_graph_file)
 from .paths import (Path, PathCollection, Profile, contains_vertex, extend,
                     is_simple, profile, render_path)
-from .pksp import (ReconcileError, ShortestPathTree, reconcile_with_existing,
-                   shortest_path_tree, yen_pksp)
+from .pksp import ShortestPathTree, shortest_path_tree, yen_pksp
 from .ssksp import (DEFAULT_ENUMERATION_CAP, EnumerationCapExceeded,
                     PredecessorClosure, QueueInvariantError, RankedPathQueue,
                     RunStats, SolverState, SsKsspSolution, bounded_ssksp,
@@ -24,15 +23,13 @@ from .ssksp import (DEFAULT_ENUMERATION_CAP, EnumerationCapExceeded,
 __version__ = "0.1.0"
 
 __all__ = [
-    "DetourLadder", "DoublingLadder", "Graph", "GraphFormatError",
-    "GraphHeader", "IdMap", "dump_graph", "extract_largest_component",
-    "gen_barabasi_albert", "gen_erdos_renyi", "gen_exh_adversarial",
-    "gen_pruned_adversarial", "induced_subgraph", "load_graph",
-    "load_graph_file",
+    "DetourLadder", "DoublingLadder", "Graph", "GraphFormatError", "IdMap",
+    "dump_graph", "extract_largest_component", "gen_barabasi_albert",
+    "gen_erdos_renyi", "gen_exh_adversarial", "gen_pruned_adversarial",
+    "induced_subgraph", "load_graph", "load_graph_file",
     "Path", "PathCollection", "Profile", "contains_vertex", "extend",
     "is_simple", "profile", "render_path",
-    "ReconcileError", "ShortestPathTree", "reconcile_with_existing",
-    "shortest_path_tree", "yen_pksp",
+    "ShortestPathTree", "shortest_path_tree", "yen_pksp",
     "DEFAULT_ENUMERATION_CAP", "EnumerationCapExceeded", "PredecessorClosure",
     "QueueInvariantError", "RankedPathQueue", "RunStats", "SolverState",
     "SsKsspSolution", "bounded_ssksp", "collection_violations",

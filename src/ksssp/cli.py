@@ -21,9 +21,9 @@ from .graph import (Graph, GraphFormatError, dump_graph, gen_barabasi_albert,
                     gen_pruned_adversarial, load_graph_file)
 from .paths import Path, profile
 from .ssksp import (DEFAULT_ENUMERATION_CAP, EnumerationCapExceeded,
-                    RunStats, SsKsspSolution, bounded_ssksp, count_simple_paths,
-                    enumerate_all_simple_paths, exh_ssksp, pruned_ssksp,
-                    solution_violations, ss_yen)
+                    RunStats, SsKsspSolution, _check_query, bounded_ssksp,
+                    count_simple_paths, enumerate_all_simple_paths, exh_ssksp,
+                    pruned_ssksp, solution_violations, ss_yen)
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -49,41 +49,6 @@ class BenchTimeout(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated solver run request.
-
-    ``roots`` is either an explicit tuple of vertex ids or a count of roots
-    to sample uniformly without replacement (seeded).
-    """
-    algorithm: str
-    k: int
-    roots: tuple[int, ...] | int = 1
-    seed: int = 0
-    output_format: str = "tsv"
-
-    def __post_init__(self):
-        if self.algorithm not in SOLVERS:
-            raise ConfigError(f"unknown algorithm {self.algorithm!r}; "
-                              f"choose from {sorted(SOLVERS)}")
-        if self.k < 1:
-            raise ConfigError(f"k must be >= 1, got {self.k}")
-        if self.output_format not in ("tsv", "json"):
-            raise ConfigError(f"unknown output format {self.output_format!r}")
-
-    def resolve_roots(self, graph: Graph) -> list[int]:
-        n = graph.vertex_count
-        if isinstance(self.roots, int):
-            if not (0 < self.roots <= n):
-                raise ConfigError(f"cannot sample {self.roots} roots from "
-                                  f"{n} vertices")
-            return random.Random(self.seed).sample(range(n), self.roots)
-        for root in self.roots:
-            if not (0 <= root < n):
-                raise ConfigError(f"root {root} out of range [0, {n})")
-        return list(self.roots)
-
-
 def profile_digest(solution: SsKsspSolution) -> str:
     """Stable digest of the per-vertex profiles; equal profiles, equal digest."""
     h = hashlib.sha256()
@@ -96,15 +61,19 @@ def profile_digest(solution: SsKsspSolution) -> str:
 def run_solve(graph: Graph, root: int, k: int, algo: str, force: bool = False,
               fmt: str = "tsv", cap: int = DEFAULT_ENUMERATION_CAP) -> list[str]:
     """Run one solver and render its solution as output lines."""
-    config = RunConfig(algorithm=algo, k=k, roots=(root,), output_format=fmt)
-    root = config.resolve_roots(graph)[0]
+    if algo not in SOLVERS:
+        raise ConfigError(f"unknown algorithm {algo!r}; "
+                          f"choose from {sorted(SOLVERS)}")
+    if fmt not in ("tsv", "json"):
+        raise ConfigError(f"unknown output format {fmt!r}")
+    _check_query(graph, root, k)
     if algo == "exh" and not force:
         if count_simple_paths(graph, root, cap) > cap:
             raise ConfigError(
                 f"enumeration guard: more than {cap} simple paths from "
                 f"vertex {root}; pass --force to run exh anyway")
-    solution = SOLVERS[config.algorithm](graph, root, config.k)
-    if config.output_format == "json":
+    solution = SOLVERS[algo](graph, root, k)
+    if fmt == "json":
         payload = [
             {"vertex": v,
              "paths": [{"rank": i + 1, "weight": p.weight,
@@ -355,9 +324,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     for path in graph_paths:
         graph = load_graph_file(path)
         graph_id = os.path.basename(path)
-        config = RunConfig(algorithm="bounded", k=k_values[0], roots=args.roots,
-                           seed=args.seed, output_format=args.format)
-        roots = config.resolve_roots(graph)
+        if not 0 < args.roots <= graph.vertex_count:
+            raise ConfigError(f"cannot sample {args.roots} roots from "
+                              f"{graph.vertex_count} vertices")
+        roots = random.Random(args.seed).sample(range(graph.vertex_count),
+                                                args.roots)
         for k in k_values:
             all_records.extend(bench_cell(graph, graph_id, k, roots,
                                           reps=args.reps, timeout=args.timeout))

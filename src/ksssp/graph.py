@@ -15,19 +15,11 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from math import inf
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, TextIO
 
 
 class GraphFormatError(ValueError):
     """Malformed graph file; message carries the offending line number."""
-
-
-@dataclass(frozen=True)
-class GraphHeader:
-    n: int
-    m: int
-    directed: bool
-    weighted: bool
 
 
 class Graph:
@@ -105,16 +97,6 @@ class Graph:
         if not (0 <= v < self.vertex_count):
             raise ValueError(f"vertex id {v} out of range [0, {self.vertex_count})")
 
-    def out_neighbors(self, v: int) -> list[tuple[int, float]]:
-        """Outgoing neighbors of v with edge weights, sorted by neighbor id."""
-        self._check_vertex(v)
-        return self.out_adj[v]
-
-    def in_neighbors(self, v: int) -> list[tuple[int, float]]:
-        """Incoming neighbors of v with edge weights, sorted by neighbor id."""
-        self._check_vertex(v)
-        return self.in_adj[v]
-
     def edge_weight(self, u: int, v: int) -> float | None:
         """Weight of arc (u, v), or None when the arc does not exist."""
         return self._weight_of.get((u, v))
@@ -140,7 +122,8 @@ class IdMap:
     to_orig: list[int]
 
 
-def _parse_header(line: str, lineno: int) -> GraphHeader:
+def _parse_header(line: str, lineno: int) -> tuple[int, int, bool, bool]:
+    """(n, m, directed, weighted) from the header line."""
     parts = line.split()
     if len(parts) != 6 or parts[0] != "p" or parts[1] != "ksp":
         raise GraphFormatError(f"line {lineno}: malformed header {line!r}, "
@@ -156,7 +139,7 @@ def _parse_header(line: str, lineno: int) -> GraphHeader:
         raise GraphFormatError(f"line {lineno}: header requires m >= 0, got {m}")
     if directed not in (0, 1) or weighted not in (0, 1):
         raise GraphFormatError(f"line {lineno}: directed/weighted flags must be 0 or 1")
-    return GraphHeader(n, m, bool(directed), bool(weighted))
+    return n, m, bool(directed), bool(weighted)
 
 
 def load_graph(stream: TextIO | Iterable[str], largest_component: bool = False) -> Graph:
@@ -167,54 +150,53 @@ def load_graph(stream: TextIO | Iterable[str], largest_component: bool = False) 
     result is restricted to the largest connected (strongly connected when
     directed) component and re-indexed densely.
     """
-    header: GraphHeader | None = None
-    edges: list[tuple[int, int, float]] = []
-    seen: set[tuple[int, int]] = set()
-    edge_lines = 0
-    lineno = 0
-    for raw in stream:
-        lineno += 1
+    lines = enumerate(stream, 1)
+    for lineno, raw in lines:
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if header is None:
-            header = _parse_header(line, lineno)
-            continue
-        parts = line.split()
-        expected = 3 if header.weighted else 2
-        if len(parts) != expected:
-            raise GraphFormatError(f"line {lineno}: expected {expected} fields, got {len(parts)}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphFormatError(f"line {lineno}: non-integer vertex id")
-        if header.weighted:
-            try:
-                w = float(parts[2])
-            except ValueError:
-                raise GraphFormatError(f"line {lineno}: malformed weight {parts[2]!r}")
-            if w < 0:
-                raise GraphFormatError(f"line {lineno}: negative weight {w}")
-            if not w < inf:     # nan, inf, or a literal such as 1e400 that overflows
-                raise GraphFormatError(f"line {lineno}: non-finite weight {parts[2]!r}")
-        else:
-            w = 1.0
-        if not (0 <= u < header.n) or not (0 <= v < header.n):
-            raise GraphFormatError(f"line {lineno}: vertex id out of range [0, {header.n})")
-        if u == v:
-            raise GraphFormatError(f"line {lineno}: self-loop at vertex {u}")
-        key = (u, v) if header.directed else (min(u, v), max(u, v))
-        if key in seen:
-            raise GraphFormatError(f"line {lineno}: duplicate edge ({u}, {v})")
-        seen.add(key)
-        edges.append((u, v, w))
-        edge_lines += 1
-    if header is None:
+        if line and not line.startswith("#"):
+            n, m, directed, weighted = _parse_header(line, lineno)
+            break
+    else:
         raise GraphFormatError("line 0: missing header line")
-    if edge_lines != header.m:
-        raise GraphFormatError(f"line {lineno}: header declares m={header.m} "
-                               f"but found {edge_lines} edge lines")
-    graph = Graph(header.n, header.directed, header.weighted, edges)
+    expected = 3 if weighted else 2
+
+    def edges() -> Iterator[tuple[int, int, float]]:
+        # Only the syntax is checked here; Graph checks what the edge means.
+        nonlocal lineno
+        count = 0
+        for lineno, raw in lines:
+            parts = raw.split()
+            if not parts or parts[0].startswith("#"):
+                continue
+            if len(parts) != expected:
+                raise GraphFormatError(f"line {lineno}: expected {expected} "
+                                       f"fields, got {len(parts)}")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise GraphFormatError(f"line {lineno}: non-integer vertex id")
+            w = 1.0
+            if weighted:
+                try:
+                    w = float(parts[2])
+                except ValueError:
+                    raise GraphFormatError(f"line {lineno}: malformed weight "
+                                           f"{parts[2]!r}")
+                if not w < inf:     # nan, inf or a literal such as 1e400
+                    raise GraphFormatError(f"line {lineno}: non-finite weight "
+                                           f"{parts[2]!r}")
+            yield u, v, w
+            count += 1
+        if count != m:
+            raise GraphFormatError(f"line {lineno}: header declares m={m} "
+                                   f"but found {count} edge lines")
+
+    try:
+        graph = Graph(n, directed, weighted, edges())
+    except GraphFormatError:
+        raise
+    except ValueError as exc:   # Graph's check of the edge on this line
+        raise GraphFormatError(f"line {lineno}: {exc}") from None
     if largest_component:
         graph, _ = extract_largest_component(graph)
     return graph

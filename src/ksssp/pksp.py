@@ -18,7 +18,7 @@ heuristic d(source, v). Unweighted spurs run an unguided BFS: guided, it sped
 from __future__ import annotations
 
 import heapq
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
@@ -26,11 +26,7 @@ from math import inf
 from typing import Collection, Optional
 
 from .graph import Graph
-from .paths import Path, PathCollection, profile
-
-
-class ReconcileError(RuntimeError):
-    """Collection reconciliation precondition failed: an internal solver bug."""
+from .paths import Path, PathCollection
 
 
 @dataclass
@@ -230,37 +226,3 @@ def yen_pksp(graph: Graph, source: int, target: int, k: int,
     if graph.weighted:
         entries.sort()
     return PathCollection(source, target, entries)
-
-
-def reconcile_with_existing(full: PathCollection,
-                            existing: PathCollection) -> PathCollection:
-    """Swap weight-tied entries of ``full`` so the result contains ``existing``.
-
-    ``full`` is a complete feasible collection for the pair and ``existing``
-    holds already-fixed paths whose profile must be a prefix of full's. The
-    result keeps full's profile exactly while containing every existing entry;
-    ties are resolved by keeping full's entries in tie-break order.
-    """
-    if (full.source, full.target) != (existing.source, existing.target):
-        raise ReconcileError(
-            f"endpoint mismatch: ({full.source},{full.target}) vs "
-            f"({existing.source},{existing.target})")
-    prof_full = profile(full)
-    prof_existing = profile(existing)
-    if prof_existing != prof_full[:len(prof_existing)]:
-        raise ReconcileError(
-            f"existing profile {prof_existing} is not a prefix of {prof_full}")
-    if not existing.entries:
-        return PathCollection(full.source, full.target, list(full.entries))
-    have = set(existing.entries)
-    need = Counter(p.weight for p in full.entries)
-    for p in existing.entries:
-        need[p.weight] -= 1
-    result = list(existing.entries)
-    for p in full.entries:
-        if need[p.weight] > 0 and p not in have:
-            result.append(p)
-            have.add(p)
-            need[p.weight] -= 1
-    result.sort()
-    return PathCollection(full.source, full.target, result)

@@ -28,7 +28,7 @@ from typing import Callable, Iterator, Optional
 
 from .graph import Graph
 from .paths import Path, PathCollection, Profile, is_simple, profile
-from .pksp import reconcile_with_existing, shortest_path_tree, yen_pksp
+from .pksp import shortest_path_tree, yen_pksp
 
 PkspSubroutine = Callable[[Graph, int, int, int], PathCollection]
 ProgressCallback = Callable[[int, int], None]
@@ -310,26 +310,32 @@ def super_saturate(v: int, graph: Graph, state: SolverState, root: int, k: int,
         x = frontier.popleft()
         if x in state.super_saturated:
             continue
-        bucket = state.paths_to[x]
-        if len(bucket) < k:
+        solution_x = state.paths_to[x]
+        if len(solution_x) < k:
             if progress is not None and stats.pksp_calls > calls_before:
                 progress(stats.dequeues, state.unsaturated_count)
             computed = pksp(graph, root, x, k)
             stats.pksp_calls += 1
-            solution_x = reconcile_with_existing(
-                computed, PathCollection(root, x, list(bucket)))
-        else:
-            assert len(bucket) == k
-            solution_x = PathCollection(root, x, list(bucket))
-        existing = set(bucket)
-        for path in solution_x.entries:
-            if path not in existing and path not in queue:
-                queue.enqueue(path)
-                stats.exceptional_insertions += 1
-                _count_insertion(stats, path.last)
-                enqueued.append(path)
+            # T_x holds |T_x| lightest paths and computed an exact sorted
+            # top-k, so T_x plus computed's lightest others keeps its profile.
+            if (computed.source, computed.target) != (root, x) or [
+                    p.weight for p in computed.entries[:len(solution_x)]] \
+                    != [p.weight for p in solution_x]:
+                raise RuntimeError(
+                    f"vertex {x}: the subroutine's ({computed.source}, "
+                    f"{computed.target}) result does not extend T_{x}'s profile")
+            stored = set(solution_x)
+            missing = [p for p in computed.entries
+                       if p not in stored][:k - len(solution_x)]
+            for path in missing:
+                if path not in queue:
+                    queue.enqueue(path)
+                    stats.exceptional_insertions += 1
+                    _count_insertion(stats, path.last)
+                    enqueued.append(path)
+            solution_x = solution_x + missing
         reached: set[int] = set()
-        for path in solution_x.entries:
+        for path in solution_x:
             node: Optional[Path] = path
             while node is not None and node.walk_mark is not mark:
                 node.walk_mark = mark

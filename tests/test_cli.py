@@ -7,8 +7,8 @@ import ksssp.cli as cli_mod
 from ksssp import (bounded_ssksp, enumerate_all_simple_paths, gen_erdos_renyi,
                    gen_exh_adversarial, load_graph, shortest_path_tree, ss_yen)
 from ksssp.cli import (ConfigError, EXIT_CONFIG, EXIT_IO, EXIT_MISMATCH, EXIT_OK,
-                       RunConfig, bench_cell, main, profile_digest, run_solve,
-                       run_verify, speedup_summary)
+                       bench_cell, main, profile_digest, run_solve, run_verify,
+                       speedup_summary)
 
 TRIANGLE = "p ksp 3 3 1 1\n0 1 2.0\n1 2 3.0\n0 2 10.0\n"
 
@@ -251,26 +251,35 @@ class TestBench:
 
 
 class TestRunConfig:
-    def test_validation(self):
+    def test_validation(self, monkeypatch):
+        graph = load_graph(io.StringIO(TRIANGLE))
         with pytest.raises(ConfigError, match="unknown algorithm"):
-            RunConfig(algorithm="magic", k=1)
-        with pytest.raises(ConfigError, match="k must be"):
-            RunConfig(algorithm="exh", k=0)
+            run_solve(graph, 0, 1, "magic")
         with pytest.raises(ConfigError, match="format"):
-            RunConfig(algorithm="exh", k=1, output_format="xml")
+            run_solve(graph, 0, 1, "exh", fmt="xml")
+        # A bad k is refused before exh's enumeration guard counts paths.
+        monkeypatch.setattr(cli_mod, "count_simple_paths", None)
+        with pytest.raises(ValueError, match="k must be"):
+            run_solve(graph, 0, 0, "exh")
 
-    def test_sampled_roots_deterministic_without_replacement(self, small_er_file):
-        graph = load_graph(io.StringIO(open(small_er_file).read()))
-        config = RunConfig(algorithm="bounded", k=2, roots=5, seed=11)
-        roots = config.resolve_roots(graph)
-        assert roots == config.resolve_roots(graph)
-        assert len(set(roots)) == 5
+    def test_sampled_roots_deterministic_without_replacement(
+            self, small_er_file, capsys):
+        sampled = []
+        for _ in range(2):
+            assert main(["bench", small_er_file, "--k", "1", "--roots", "5",
+                         "--seed", "11", "--format", "json"]) == EXIT_OK
+            records = json.loads(capsys.readouterr().out)["records"]
+            sampled.append([r["root"] for r in records
+                            if r["algo"] == "bounded"])
+        assert sampled[0] == sampled[1]
+        assert len(set(sampled[0])) == 5
 
     def test_explicit_roots_validated(self, small_er_file):
         graph = load_graph(io.StringIO(open(small_er_file).read()))
-        assert RunConfig("exh", 1, roots=(3, 0)).resolve_roots(graph) == [3, 0]
-        with pytest.raises(ConfigError, match="out of range"):
-            RunConfig("exh", 1, roots=(99,)).resolve_roots(graph)
+        assert (run_solve(graph, 3, 1, "bounded")
+                != run_solve(graph, 0, 1, "bounded"))
+        with pytest.raises(ValueError, match="out of range"):
+            run_solve(graph, 99, 1, "bounded")
 
 
 class TestDigest:

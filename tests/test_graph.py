@@ -24,8 +24,8 @@ class TestLoadGraph:
 
     def test_undirected_unweighted_mirrors_edges(self):
         g = load("p ksp 2 1 0 0\n0 1\n")
-        assert g.out_neighbors(0) == [(1, 1.0)]
-        assert g.out_neighbors(1) == [(0, 1.0)]
+        assert g.out_adj[0] == [(1, 1.0)]
+        assert g.out_adj[1] == [(0, 1.0)]
 
     def test_self_loop_reports_line(self):
         with pytest.raises(GraphFormatError, match="line 2.*self-loop"):
@@ -101,27 +101,22 @@ class TestGraphInit:
 class TestNeighbors:
     def test_out_neighbors_sorted(self):
         g = load(TRIANGLE)
-        assert g.out_neighbors(0) == [(1, 2.0), (2, 10.0)]
+        assert g.out_adj[0] == [(1, 2.0), (2, 10.0)]
 
     def test_isolated_vertex_empty(self):
         g = Graph(3, True, True, [(0, 1, 1.0)])
-        assert g.out_neighbors(2) == []
-        assert g.in_neighbors(2) == []
+        assert g.out_adj[2] == []
+        assert g.in_adj[2] == []
 
     def test_undirected_symmetric(self):
         g = load("p ksp 2 1 0 0\n0 1\n")
-        assert g.out_neighbors(1) == [(0, 1.0)]
-        assert g.in_neighbors(0) == [(1, 1.0)]
+        assert g.out_adj[1] == [(0, 1.0)]
+        assert g.in_adj[0] == [(1, 1.0)]
 
     def test_in_neighbors_directed(self):
         g = Graph(2, True, True, [(0, 1, 4.0)])
-        assert g.in_neighbors(1) == [(0, 4.0)]
-        assert g.in_neighbors(0) == []
-
-    def test_out_of_range_rejected(self):
-        g = load(TRIANGLE)
-        with pytest.raises(ValueError, match="out of range"):
-            g.out_neighbors(3)
+        assert g.in_adj[1] == [(0, 4.0)]
+        assert g.in_adj[0] == []
 
     def test_transpose_consistency_random(self):
         for seed in range(6):

@@ -7,11 +7,11 @@ from math import inf
 import pytest
 
 import ksssp.pksp as pksp_mod
-from ksssp import (Graph, Path, PathCollection, ReconcileError,
-                   gen_erdos_renyi, profile, reconcile_with_existing,
-                   shortest_path_tree, yen_pksp)
+from ksssp import (Graph, Path, PathCollection, bounded_ssksp,
+                   gen_erdos_renyi, profile, shortest_path_tree, yen_pksp)
 from ksssp.pksp import _masked_path, _sidetrack_spur
-from util import bellman_ford, masked_dijkstra, oracle_pair_topk, random_cases
+from util import (bellman_ford, masked_dijkstra, oracle_pair_topk,
+                  random_cases, reference_merge)
 
 TRIANGLE = Graph(3, True, True, [(0, 1, 2.0), (1, 2, 3.0), (0, 2, 10.0)])
 
@@ -398,43 +398,51 @@ def tie_fixture():
 
 
 class TestReconcile:
+    """The reference merge in ``util`` and the solver's check of its
+    subroutine's collections."""
+
     def test_empty_existing_keeps_full(self):
         _, a, b, _ = tie_fixture()
         full = PathCollection(0, 4, [a, b])
-        out = reconcile_with_existing(full, PathCollection(0, 4, []))
+        out = reference_merge(full, PathCollection(0, 4, []))
         assert out.entries == [a, b]
 
     def test_subset_existing_is_noop_as_set(self):
         _, a, b, _ = tie_fixture()
         full = PathCollection(0, 4, [a, b])
-        out = reconcile_with_existing(full, PathCollection(0, 4, [b]))
+        out = reference_merge(full, PathCollection(0, 4, [b]))
         assert set(out.entries) == {a, b}
         assert profile(out) == profile(full)
 
     def test_weight_tied_swap(self):
         _, a, b, c = tie_fixture()
         full = PathCollection(0, 4, [a, b])
-        out = reconcile_with_existing(full, PathCollection(0, 4, [c]))
+        out = reference_merge(full, PathCollection(0, 4, [c]))
         assert c in out.entries
         assert len([p for p in out.entries if p in (a, b)]) == 1
         assert profile(out) == (5.0, 5.0)
 
+    # At k=2, vertex 4's third weight-5 path super-saturates it, and the
+    # subroutine runs for 1 and then 2, which hold one path each.
     def test_endpoint_mismatch_rejected(self):
-        _, a, b, _ = tie_fixture()
-        with pytest.raises(ReconcileError):
-            reconcile_with_existing(PathCollection(0, 4, [a]),
-                                    PathCollection(0, 3, []))
+        g = tie_fixture()[0]
+
+        def wrong_target(graph, source, target, k):
+            return yen_pksp(graph, source, 3 - target, k)
+
+        assert bounded_ssksp(g, 0, 2).stats.pksp_calls == 2
+        with pytest.raises(RuntimeError, match=r"vertex 1: .*\(0, 2\)"):
+            bounded_ssksp(g, 0, 2, pksp=wrong_target)
 
     def test_non_prefix_profile_rejected(self):
-        g, a, b, _ = tie_fixture()
-        heavy = Path.from_vertices(g, (0, 2, 4))   # weight 5
-        light = PathCollection(0, 4, [Path.from_vertices(g, (0, 1, 4))])
-        full = PathCollection(0, 4, [heavy])
-        bad_existing = PathCollection(
-            0, 4, [Path.single(0).extend_to(4, 0.5)])  # profile (0.5,)
-        with pytest.raises(ReconcileError):
-            reconcile_with_existing(full, bad_existing)
-        assert reconcile_with_existing(full, light).entries  # sanity: ok case
+        g = tie_fixture()[0]
+
+        def lighter_first(graph, source, target, k):
+            fake = Path.single(source).extend_to(target, 0.5)
+            return PathCollection(source, target, [fake])
+
+        with pytest.raises(RuntimeError, match="vertex 1: .*profile"):
+            bounded_ssksp(g, 0, 2, pksp=lighter_first)
 
     def test_preserves_profile_and_containment_randomized(self):
         rng = random.Random(8)
@@ -447,6 +455,6 @@ class TestReconcile:
                 continue
             cut = rng.randint(0, len(full.entries))
             existing = PathCollection(root, target, list(full.entries[:cut]))
-            out = reconcile_with_existing(full, existing)
+            out = reference_merge(full, existing)
             assert profile(out) == profile(full)
             assert set(existing.entries) <= set(out.entries)

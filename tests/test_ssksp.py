@@ -1,6 +1,7 @@
 import random
 from collections import deque
 from math import inf
+from operator import itemgetter
 
 import pytest
 
@@ -11,11 +12,11 @@ from ksssp import (Graph, Path, PathCollection, EnumerationCapExceeded,
                    enumerate_all_simple_paths, exh_ssksp, gen_erdos_renyi,
                    gen_exh_adversarial, gen_pruned_adversarial, is_simple,
                    predecessor_closure, profile, pruned_ssksp, pruning_test,
-                   reconcile_with_existing, shortest_path_tree,
-                   solution_violations, ss_yen, super_saturate, yen_pksp)
+                   shortest_path_tree, solution_violations, ss_yen,
+                   super_saturate, yen_pksp)
 from ksssp.graph import _max_edges
 from ksssp.ssksp import _init_state
-from util import oracle_profiles, random_cases
+from util import oracle_profiles, random_cases, reference_merge
 
 SOLVERS = {"exh": exh_ssksp, "pruned": pruned_ssksp, "bounded": bounded_ssksp,
            "ss-yen": ss_yen}
@@ -49,7 +50,7 @@ def naive_super_saturate(v, graph, state, root, k, pksp):
         bucket = state.paths_to[x]
         entries = list(bucket)
         if len(bucket) < k:
-            entries = reconcile_with_existing(
+            entries = reference_merge(
                 pksp(graph, root, x, k),
                 PathCollection(root, x, list(bucket))).entries
         enqueued += [(p.weight, p.vertices()) for p in entries
@@ -233,6 +234,27 @@ class TestSuperSaturate:
         with pytest.raises(ValueError):
             super_saturate(1, g, state, 0, 2, yen_pksp)
 
+    def test_stored_path_kept_when_subroutine_leaves_it_out(self):
+        # Three weight-5 paths reach 4. T_4 holds (0, 3, 4); the subroutine's
+        # top-2 is (0, 1, 4), (0, 2, 4), so T_4 takes only (0, 1, 4).
+        g = Graph(6, True, True, [(0, 1, 2.0), (1, 4, 3.0), (0, 2, 1.0),
+                                  (2, 4, 4.0), (0, 3, 3.0), (3, 4, 2.0),
+                                  (4, 5, 1.0)])
+        state = _init_state(g, 0, 2)
+        for seq in ((0, 1), (0, 2), (0, 3), (0, 3, 4), (0, 1, 4, 5),
+                    (0, 2, 4, 5)):
+            force_collect(state, g, seq)
+
+        def leaves_out_stored(graph, s, t, k):
+            if t != 4:
+                return yen_pksp(graph, s, t, k)
+            return PathCollection(s, t, [Path.from_vertices(graph, seq)
+                                         for seq in ((0, 1, 4), (0, 2, 4))])
+
+        out = super_saturate(5, g, state, 0, 2, leaves_out_stored)
+        assert [p.vertices() for p in out] == [(0, 1, 4)]
+        assert state.super_saturated == {0, 1, 2, 3, 4, 5}
+
     def test_detour_ladder_triggers_entry_pair_completion(self):
         inst = gen_pruned_adversarial(2)
         targets = []
@@ -308,6 +330,35 @@ class TestSuperSaturate:
             for k in (1, 2, 4):
                 bounded_ssksp(graph, root, k)
         assert sum(size > 1 for size in closures) > 10
+
+    def test_stored_paths_kept_over_tied_subroutine_paths(self, monkeypatch):
+        # The subroutine returns the oracle's top-k with equal weights in
+        # reversed tie-break order, so it can leave out a stored path that
+        # ties its last one; completing T_x must keep the stored path.
+        states = []
+
+        def init_state(*args):
+            states.append(_init_state(*args))
+            return states[-1]
+
+        monkeypatch.setattr(ssksp_mod, "_init_state", init_state)
+        swaps = 0
+        for graph, root, k in random_cases(300, seed=7, max_n=14):
+            k = min(k, 4)
+            per_vertex = enumerate_all_simple_paths(graph, root)
+
+            def reversed_ties(graph, source, target, k):
+                nonlocal swaps
+                ranked = sorted(reversed(per_vertex[target]),
+                                key=itemgetter(0))[:k]
+                top = [Path.from_vertices(graph, seq) for _, seq in ranked]
+                swaps += not set(states[-1].paths_to[target]) <= set(top)
+                return PathCollection(source, target, top)
+
+            sol = bounded_ssksp(graph, root, k, pksp=reversed_ties)
+            assert solution_violations(graph, sol, "bounded") == []
+            assert sol.profiles() == oracle_profiles(graph, root, k)
+        assert swaps >= 1
 
     def test_marks_belong_to_one_run(self):
         inst = gen_pruned_adversarial(3)

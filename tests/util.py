@@ -3,10 +3,12 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections import Counter
 from math import inf
 from typing import Iterator
 
-from ksssp import Graph, count_simple_paths, enumerate_all_simple_paths, gen_erdos_renyi
+from ksssp import (Graph, PathCollection, count_simple_paths,
+                   enumerate_all_simple_paths, gen_erdos_renyi)
 from ksssp.graph import _max_edges
 
 K_CYCLE = (1, 2, 4, 8)
@@ -67,6 +69,26 @@ def oracle_pair_topk(graph: Graph, source: int, target: int, k: int,
     """Brute-force top-k simple paths for one pair, in tie-break order."""
     per_vertex = enumerate_all_simple_paths(graph, source, cap)
     return per_vertex[target][:k]
+
+
+def reference_merge(full: PathCollection,
+                    existing: PathCollection) -> PathCollection:
+    """``full``'s profile containing every ``existing`` entry, sorted.
+
+    ``existing``'s profile must be a prefix of full's. Per weight, full's
+    entries fill what ``existing`` leaves, in full's order, so a tie may swap
+    a full entry for an existing one. The reference for super-saturation.
+    """
+    have = set(existing.entries)
+    need = Counter(p.weight for p in full.entries)
+    need.subtract(p.weight for p in existing.entries)
+    result = list(existing.entries)
+    for p in full.entries:
+        if need[p.weight] > 0 and p not in have:
+            result.append(p)
+            have.add(p)
+            need[p.weight] -= 1
+    return PathCollection(full.source, full.target, sorted(result))
 
 
 def random_cases(count: int, seed: int, max_n: int = 28, density: float = 3.0,
