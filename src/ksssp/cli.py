@@ -58,6 +58,14 @@ def profile_digest(solution: SsKsspSolution) -> str:
     return h.hexdigest()[:16]
 
 
+def _exh_guard(graph: Graph, root: int, cap: int) -> None:
+    """Refuse exh when more than ``cap`` simple paths leave the root."""
+    if count_simple_paths(graph, root, cap) > cap:
+        raise ConfigError(
+            f"enumeration guard: more than {cap} simple paths from vertex "
+            f"{root}; exh would not finish (solve --force runs it anyway)")
+
+
 def run_solve(graph: Graph, root: int, k: int, algo: str, force: bool = False,
               fmt: str = "tsv", cap: int = DEFAULT_ENUMERATION_CAP) -> list[str]:
     """Run one solver and render its solution as output lines."""
@@ -68,10 +76,7 @@ def run_solve(graph: Graph, root: int, k: int, algo: str, force: bool = False,
         raise ConfigError(f"unknown output format {fmt!r}")
     _check_query(graph, root, k)
     if algo == "exh" and not force:
-        if count_simple_paths(graph, root, cap) > cap:
-            raise ConfigError(
-                f"enumeration guard: more than {cap} simple paths from "
-                f"vertex {root}; pass --force to run exh anyway")
+        _exh_guard(graph, root, cap)
     solution = SOLVERS[algo](graph, root, k)
     if fmt == "json":
         payload = [
@@ -124,28 +129,34 @@ def run_verify(graph: Graph, root: int, k: int, algos: Sequence[str],
     """Run the named algorithms (plus the oracle) and compare profiles.
 
     Returns report lines and an exit code: 0 when all per-vertex profiles
-    agree and no invariant is violated, 3 otherwise.
+    agree and no invariant is violated, 3 otherwise. Past ``cap`` simple
+    paths from the root, the oracle raises ``EnumerationCapExceeded`` and,
+    without it, exh's guard raises ``ConfigError``, before any solver runs.
     """
     solvers = solvers if solvers is not None else SOLVERS
     for name in algos:
         if name not in solvers:
             raise ConfigError(f"unknown algorithm {name!r}")
+    _check_query(graph, root, k)
     lines = []
     by_name: dict[str, dict[int, tuple[float, ...]]] = {}
-    violations: list[str] = []
-    for name in algos:
-        solution = solvers[name](graph, root, k)
-        by_name[name] = solution.profiles()
-        violations.extend(solution_violations(graph, solution, name))
     if use_oracle:
         per_vertex = enumerate_all_simple_paths(graph, root, cap)
         by_name["oracle"] = {
             v: tuple(w for w, _ in per_vertex[v][:k])
             for v in range(graph.vertex_count) if v != root
         }
+        del per_vertex      # the solvers run without the enumerated paths
         reference = "oracle"
     else:
+        if "exh" in algos:
+            _exh_guard(graph, root, cap)
         reference = algos[0]
+    violations: list[str] = []
+    for name in algos:
+        solution = solvers[name](graph, root, k)
+        by_name[name] = solution.profiles()
+        violations.extend(solution_violations(graph, solution, name))
     ref_profiles = by_name[reference]
     names = [n for n in by_name if n != reference]
     lines.append(f"reference: {reference}")

@@ -12,7 +12,6 @@ edges are rejected: simple-path search never uses either.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from math import inf
 from typing import Iterable, Iterator, TextIO
@@ -233,26 +232,6 @@ def induced_subgraph(graph: Graph, keep: Iterable[int]) -> tuple[Graph, IdMap]:
     return sub, IdMap(to_sub=to_sub, to_orig=keep_sorted)
 
 
-def _undirected_components(graph: Graph) -> list[list[int]]:
-    seen = [False] * graph.vertex_count
-    components = []
-    for start in range(graph.vertex_count):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v, _ in graph.out_adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    queue.append(v)
-        components.append(comp)
-    return components
-
-
 def _strongly_connected_components(graph: Graph) -> list[list[int]]:
     # Iterative Tarjan; recursion depth would be a liability on chains.
     n = graph.vertex_count
@@ -303,13 +282,15 @@ def _strongly_connected_components(graph: Graph) -> list[list[int]]:
 
 
 def extract_largest_component(graph: Graph) -> tuple[Graph, IdMap]:
-    """Largest connected (strongly connected when directed) component."""
+    """Largest connected (strongly connected when directed) component.
+
+    An undirected graph stores both orientations of each edge, so its
+    strongly connected components are its connected components. Ties go to
+    the component holding the smallest id.
+    """
     if graph.vertex_count == 0:
         return graph, IdMap({}, [])
-    if graph.directed:
-        components = _strongly_connected_components(graph)
-    else:
-        components = _undirected_components(graph)
+    components = _strongly_connected_components(graph)
     best = max(components, key=lambda comp: (len(comp), -min(comp)))
     return induced_subgraph(graph, best)
 

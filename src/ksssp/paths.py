@@ -74,7 +74,10 @@ class Path:
             raise ValueError("a path has at least one vertex")
         path = cls.single(vertices[0])
         for u in vertices[1:]:
-            path = extend(path, u, graph)
+            w = graph.edge_weight(path.last, u)
+            if w is None:
+                raise ValueError(f"no edge ({path.last}, {u}) in graph")
+            path = path.extend_to(u, w)
         return path
 
     def extend_to(self, u: int, edge_weight: float) -> "Path":
@@ -98,12 +101,6 @@ class Path:
             tail.reverse()
             self._seq = tuple(tail) if node is None else node._seq + tuple(tail)
         return self._seq
-
-    def __iter__(self):
-        return iter(self.vertices())
-
-    def __len__(self) -> int:
-        return self.length
 
     def __hash__(self) -> int:
         return self.fingerprint
@@ -147,29 +144,9 @@ class Path:
         return f"Path({'-'.join(map(str, self.vertices()))}, w={self.weight!r})"
 
 
-def extend(path: Path, u: int, graph: "Graph") -> Path:
-    """One-vertex extension over the edge (last(path), u)."""
-    w = graph.edge_weight(path.last, u)
-    if w is None:
-        raise ValueError(f"no edge ({path.last}, {u}) in graph")
-    return path.extend_to(u, w)
-
-
 def is_simple(path: Path) -> bool:
     verts = path.vertices()
     return len(set(verts)) == len(verts)
-
-
-def contains_vertex(path: Path, u: int) -> bool:
-    """Whether u occurs on the path; walks the prefix chain when uncached."""
-    if path._seq is not None:
-        return u in path._seq
-    node: Optional[Path] = path
-    while node is not None:
-        if node.last == u:
-            return True
-        node = node.prev
-    return False
 
 
 @dataclass
@@ -189,8 +166,3 @@ class PathCollection:
 def profile(collection: PathCollection) -> Profile:
     """Non-decreasing list of the collection's path weights."""
     return tuple(sorted(p.weight for p in collection.entries))
-
-
-def render_path(path: Path) -> str:
-    """Text rendering: weight at full stored precision, then dash-joined ids."""
-    return f"{path.weight!r}\t{'-'.join(map(str, path.vertices()))}"

@@ -23,6 +23,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from math import inf
 from typing import Callable, Iterator, Optional
 
@@ -128,13 +129,6 @@ class SsKsspSolution:
         return {v: profile(col) for v, col in self.collections.items()}
 
 
-@dataclass(frozen=True)
-class PredecessorClosure:
-    """General-predecessor set of a vertex relative to a finished solution."""
-    anchor: int
-    members: frozenset[int]
-
-
 def _check_query(graph: Graph, root: int, k: int) -> None:
     graph._check_vertex(root)
     if k < 1:
@@ -172,10 +166,11 @@ def _run_queue(graph: Graph, root: int, k: int,
     is saturated or the queue is empty, and appends each dequeued path to T_v
     of its endpoint v while |T_v| < k. ``extend(path, state)`` decides whether
     the path is extended; it runs before the append, so it sees T_v without
-    the path. A child skips the path's own vertices, super-saturated vertices
-    and paths already queued. While only the root is super-saturated, the last
-    two skip nothing: the root lies on every path, and a path is enqueued only
-    by its one parent prefix, which is dequeued once.
+    the path. A child skips the path's own vertices and super-saturated
+    vertices. It is never already queued: its endpoint is not super-saturated,
+    so only its one parent prefix, dequeued once, enqueues it; exceptional
+    insertions end at vertices that are super-saturated from then on. Should
+    one be queued all the same, ``enqueue`` raises ``QueueInvariantError``.
 
     ``progress(dequeues, unsaturated)`` is called once per dequeue, and again
     between the subroutine calls of a super-saturation with the same values.
@@ -200,11 +195,9 @@ def _run_queue(graph: Graph, root: int, k: int,
             on_path = set(path.vertices())
             for u, w in out_adj[v]:
                 if u not in on_path and u not in super_saturated:
-                    child = path.extend_to(u, w)
-                    if child not in queue:
-                        queue.enqueue(child)
-                        stats.normal_insertions += 1
-                        _count_insertion(stats, u)
+                    queue.enqueue(path.extend_to(u, w))
+                    stats.normal_insertions += 1
+                    _count_insertion(stats, u)
         bucket = paths_to[v]
         if len(bucket) < k:
             bucket.append(path)
@@ -227,7 +220,7 @@ def exh_ssksp(graph: Graph, root: int, k: int,
     return _run_queue(graph, root, k, progress, lambda path, state: True)
 
 
-def pruning_test(v: int, graph: Graph, state: SolverState, root: int, k: int,
+def pruning_test(v: int, graph: Graph, state: SolverState,
                  vertices_on: list[set[int]]) -> bool:
     """True iff every general predecessor of v other than the root is saturated.
 
@@ -236,6 +229,7 @@ def pruning_test(v: int, graph: Graph, state: SolverState, root: int, k: int,
     returns False the moment an unsaturated non-root vertex is reached.
     """
     state.stats.pruning_calls += 1
+    root, k = state.root, state.k
     paths_to = state.paths_to
     in_adj = graph.in_adj
     queue = deque([v])
@@ -267,7 +261,7 @@ def pruned_ssksp(graph: Graph, root: int, k: int,
 
     def extend(path: Path, state: SolverState) -> bool:
         v = path.last
-        keep = path.length == 1 or not pruning_test(v, graph, state, root, k,
+        keep = path.length == 1 or not pruning_test(v, graph, state,
                                                     vertices_on)
         # The engine appends the path to T_v under this same condition.
         if len(state.paths_to[v]) < k:
@@ -277,7 +271,7 @@ def pruned_ssksp(graph: Graph, root: int, k: int,
     return _run_queue(graph, root, k, progress, extend)
 
 
-def super_saturate(v: int, graph: Graph, state: SolverState, root: int, k: int,
+def super_saturate(v: int, graph: Graph, state: SolverState,
                    pksp: PkspSubroutine) -> list[Path]:
     """Complete the collections of v's general-predecessor closure.
 
@@ -294,6 +288,7 @@ def super_saturate(v: int, graph: Graph, state: SolverState, root: int, k: int,
     super-saturated, so the frontier is the same as from whole paths. The
     run's ``progress`` is called before every subroutine call but the first.
     """
+    root, k = state.root, state.k
     bucket_v = state.paths_to[v]
     if len(bucket_v) != k or v in state.super_saturated:
         raise ValueError("super_saturate requires a saturated, "
@@ -360,21 +355,19 @@ def bounded_ssksp(graph: Graph, root: int, k: int,
     predecessor closure via ``super_saturate`` instead of extending. Normal
     insertions are at most k per arc and exceptional insertions at most k per
     vertex; the subroutine runs at most once per vertex. ``pksp`` defaults to
-    ``yen_pksp`` with one forward tree from the root on weighted graphs.
+    ``yen_pksp`` with one forward tree from the root on weighted graphs, bound
+    when the run starts, so a replaced ``ksssp.ssksp.yen_pksp`` sees each call.
     """
     if pksp is None:
         tree = shortest_path_tree(graph, root) if graph.weighted else None
-
-        def pksp(graph: Graph, source: int, target: int, k: int):
-            # yen_pksp is looked up per call, so replacing it sees each one
-            return yen_pksp(graph, source, target, k, tree=tree)
+        pksp = partial(yen_pksp, tree=tree)
 
     def extend(path: Path, state: SolverState) -> bool:
         v = path.last
         if len(state.paths_to[v]) < k:
             return True
         if v not in state.super_saturated:
-            super_saturate(v, graph, state, root, k, pksp)
+            super_saturate(v, graph, state, pksp)
         return False
 
     return _run_queue(graph, root, k, progress, extend)
@@ -455,7 +448,7 @@ def enumerate_all_simple_paths(graph: Graph, root: int,
     return per_vertex
 
 
-def predecessor_closure(solution: SsKsspSolution, v: int) -> PredecessorClosure:
+def predecessor_closure(solution: SsKsspSolution, v: int) -> frozenset[int]:
     """General predecessors of v (v included) in a finished solution."""
     members = {v}
     frontier = deque([v])
@@ -468,7 +461,7 @@ def predecessor_closure(solution: SsKsspSolution, v: int) -> PredecessorClosure:
                 if u not in members:
                     members.add(u)
                     frontier.append(u)
-    return PredecessorClosure(v, frozenset(members))
+    return frozenset(members)
 
 
 def collection_violations(graph: Graph, collection: PathCollection,

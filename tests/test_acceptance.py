@@ -226,10 +226,10 @@ def test_criterion_9_closure_nestedness(corpus_runs):
         closures = {v: predecessor_closure(solution, v)
                     for v in range(graph.vertex_count)}
         for v, closure in closures.items():
-            if v not in closure.members:
+            if v not in closure:
                 ok = False
-            for x in closure.members:
-                if not closures[x].members <= closure.members:
+            for x in closure:
+                if not closures[x] <= closure:
                     ok = False
     report("9 (closure nestedness)", ok,
            f"x in A(v) implies A(x) subset of A(v) over "

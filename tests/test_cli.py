@@ -4,7 +4,8 @@ import json
 import pytest
 
 import ksssp.cli as cli_mod
-from ksssp import (bounded_ssksp, enumerate_all_simple_paths, gen_erdos_renyi,
+from ksssp import (EnumerationCapExceeded, bounded_ssksp,
+                   enumerate_all_simple_paths, gen_erdos_renyi,
                    gen_exh_adversarial, load_graph, shortest_path_tree, ss_yen)
 from ksssp.cli import (ConfigError, EXIT_CONFIG, EXIT_IO, EXIT_MISMATCH, EXIT_OK,
                        bench_cell, main, profile_digest, run_solve, run_verify,
@@ -205,6 +206,27 @@ class TestVerify:
     def test_unknown_algo(self, small_er_file, capsys):
         assert main(["verify", "--graph", small_er_file, "--root", "0",
                      "--k", "1", "--algos", "bounded,magic"]) == EXIT_CONFIG
+
+    def test_enumeration_cap_checked_before_any_solver(self):
+        # 2**20 root-to-terminal paths: both the oracle's cap and exh's guard
+        # refuse the ladder before a solver is called.
+        inst = gen_exh_adversarial(20)
+        calls = []
+
+        def recording(name):
+            def solve(graph, root, k, progress=None):
+                calls.append(name)
+                return bounded_ssksp(graph, root, k)
+            return solve
+
+        fakes = {name: recording(name) for name in ("exh", "bounded")}
+        with pytest.raises(EnumerationCapExceeded):
+            run_verify(inst.graph, inst.root, 2, ["exh", "bounded"], cap=1000,
+                       solvers=fakes)
+        with pytest.raises(ConfigError, match="enumeration guard"):
+            run_verify(inst.graph, inst.root, 2, ["exh", "bounded"],
+                       use_oracle=False, cap=1000, solvers=fakes)
+        assert calls == []
 
 
 class TestBench:

@@ -82,6 +82,13 @@ class TestLoadGraph:
         assert g.vertex_count == 3
         assert g.edge_count == 2
 
+    def test_largest_component_tie_goes_to_smallest_id(self):
+        # 0 is isolated; {1, 3, 5} and {2, 4, 6} tie, and 1 is the smaller id
+        text = "p ksp 7 4 0 1\n2 4 1.0\n4 6 1.0\n1 3 7.0\n3 5 7.0\n"
+        g = load_graph(io.StringIO(text), largest_component=True)
+        assert g.vertex_count == 3
+        assert [w for _, _, w in g.canonical_edges()] == [7.0, 7.0]
+
     def test_largest_strongly_connected_component(self):
         # directed: 0->1->2->0 is a 3-cycle; 3->4 is not strongly connected
         text = "p ksp 5 4 1 0\n0 1\n1 2\n2 0\n3 4\n"

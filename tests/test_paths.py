@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from ksssp import (Graph, Path, PathCollection, contains_vertex,
-                   enumerate_all_simple_paths, extend, gen_erdos_renyi,
-                   is_simple, profile, render_path)
+from ksssp import (Graph, Path, PathCollection, enumerate_all_simple_paths,
+                   gen_erdos_renyi, is_simple, profile)
+from ksssp.cli import run_solve
 
 
 def chain_graph(weights):
@@ -21,34 +21,32 @@ def square():
 
 class TestExtend:
     def test_first_hop(self, square):
-        p = extend(Path.single(0), 1, square)
+        p = Path.from_vertices(square, (0, 1))
         assert p.vertices() == (0, 1)
         assert p.weight == 2.0
 
     def test_never_mutates_input(self, square):
         p = Path.from_vertices(square, (0, 1))
         before = (p.vertices(), p.weight, p.length)
-        extend(p, 2, square)
+        p.extend_to(2, square.edge_weight(1, 2))
         assert (p.vertices(), p.weight, p.length) == before
 
     def test_missing_edge(self, square):
         with pytest.raises(ValueError, match="no edge"):
-            extend(Path.single(2), 0, square)
+            Path.from_vertices(square, (2, 0))
 
     def test_hamiltonian_chain_weight_matches_recomputation(self):
         rng = random.Random(0)
         weights = [float(rng.randint(1, 10)) for _ in range(30)]
         g = chain_graph(weights)
-        p = Path.single(0)
-        for v in range(1, 31):
-            p = extend(p, v, g)
+        p = Path.from_vertices(g, tuple(range(31)))
         fresh = sum(g.edge_weight(a, b) for a, b in zip(p.vertices(), p.vertices()[1:]))
         assert p.weight == fresh
         assert p.length == 31
 
     def test_exact_incremental_weight(self, square):
         p = Path.from_vertices(square, (0, 1))
-        q = extend(p, 2, square)
+        q = p.extend_to(2, square.edge_weight(1, 2))
         assert q.weight == p.weight + square.edge_weight(1, 2)
 
 
@@ -60,12 +58,12 @@ class TestPredicates:
 
     def test_contains_vertex(self, square):
         p = Path.from_vertices(square, (0, 1, 2))
-        assert contains_vertex(p, 1)
-        assert not contains_vertex(p, 5)
+        assert 1 in p.vertices()
+        assert 5 not in p.vertices()
 
     def test_contains_after_extend(self, square):
-        p = extend(Path.single(0), 1, square)
-        assert contains_vertex(p, 1)
+        p = Path.single(0).extend_to(1, square.edge_weight(0, 1))
+        assert 1 in p.vertices()
 
     def test_simplicity_of_extension_rule(self, square):
         rng = random.Random(3)
@@ -79,7 +77,7 @@ class TestPredicates:
                     break
                 u, w = nbrs[rng.randrange(len(nbrs))]
                 child = p.extend_to(u, w)
-                assert is_simple(child) == (is_simple(p) and not contains_vertex(p, u))
+                assert is_simple(child) == (is_simple(p) and u not in p.vertices())
                 p = child
 
 
@@ -189,8 +187,8 @@ class TestOrdering:
             pool = [Path.single(rng.randrange(n)) for _ in range(3)]
             while len(pool) < 60:
                 parent = rng.choice(pool)
-                u, _ = rng.choice(g.out_adj[parent.last])
-                pool.append(extend(parent, u, g))
+                u, w = rng.choice(g.out_adj[parent.last])
+                pool.append(parent.extend_to(u, w))
             pool += [Path.from_vertices(g, chain_walk(p))
                      for p in rng.sample(pool, 15)]
             keys = [reference_key(p) for p in pool]
@@ -263,5 +261,6 @@ class TestProfiles:
 
 class TestRendering:
     def test_render_path(self, square):
-        p = Path.from_vertices(square, (0, 1, 2))
-        assert render_path(p) == "5.0\t0-1-2"
+        # solve's TSV line for 0-1-2: vertex, rank, full-precision weight, ids
+        lines = run_solve(square, 0, 1, "bounded")
+        assert lines[-1].split("\t", 2)[2] == "5.0\t0-1-2"

@@ -33,12 +33,13 @@ def force_collect(state, graph, seq, vertices_on=None):
     return path
 
 
-def naive_super_saturate(v, graph, state, root, k, pksp):
+def naive_super_saturate(v, graph, state, pksp):
     """Reference closure walk over whole vertex sequences; mutates nothing.
 
     Returns the sequences ``super_saturate`` would enqueue, in order, and the
     vertices it would mark super-saturated.
     """
+    root, k = state.root, state.k
     marked = set(state.super_saturated)
     enqueued = []
     frontier = deque([v])
@@ -129,7 +130,7 @@ class TestPruningTest:
         state = _init_state(g, 0, 1)
         vertices_on = [set(), set()]
         force_collect(state, g, (0, 1), vertices_on)
-        assert pruning_test(1, g, state, 0, 1, vertices_on) is True
+        assert pruning_test(1, g, state, vertices_on) is True
 
     def test_unsaturated_first_hop(self):
         g = Graph(3, True, True, [(0, 1, 1.0), (1, 2, 1.0)])
@@ -137,14 +138,14 @@ class TestPruningTest:
         vertices_on = [set(), set(), set()]
         force_collect(state, g, (0, 1, 2), vertices_on)
         # T_1 still empty: 1 is an in-neighbor of 2 lying on T_2's paths
-        assert pruning_test(2, g, state, 0, 1, vertices_on) is False
+        assert pruning_test(2, g, state, vertices_on) is False
 
     def test_unsaturated_anchor_fails_immediately(self):
         g = Graph(2, True, True, [(0, 1, 1.0)])
         state = _init_state(g, 0, 2)
         vertices_on = [set(), set()]
         force_collect(state, g, (0, 1), vertices_on)
-        assert pruning_test(1, g, state, 0, 2, vertices_on) is False
+        assert pruning_test(1, g, state, vertices_on) is False
 
     def test_detour_ladder_entry_blocks_pruning(self):
         # During a real run at k=3: once the third path into x_3 arrives, the
@@ -155,8 +156,8 @@ class TestPruningTest:
         observed = []
         real = ssksp_mod.pruning_test
 
-        def recorder(v, graph, state, root, k_, vertices_on):
-            result = real(v, graph, state, root, k_, vertices_on)
+        def recorder(v, graph, state, vertices_on):
+            result = real(v, graph, state, vertices_on)
             if v == x3 and len(state.paths_to[x3]) == k:
                 observed.append((result, len(state.paths_to[x1])))
             return result
@@ -178,12 +179,12 @@ class TestPruned:
         real = ssksp_mod.pruning_test
         calls = []
 
-        def checked(v, graph, state, root, k, vertices_on):
+        def checked(v, graph, state, vertices_on):
             calls.append(v)
             for x in range(graph.vertex_count):
                 assert vertices_on[x] == set().union(
                     *(p.vertices() for p in state.paths_to[x]))
-            return real(v, graph, state, root, k, vertices_on)
+            return real(v, graph, state, vertices_on)
 
         monkeypatch.setattr(ssksp_mod, "pruning_test", checked)
         cases = list(random_cases(30, seed=77, max_n=14))
@@ -222,7 +223,7 @@ class TestSuperSaturate:
             calls.append(t)
             return yen_pksp(graph, s, t, k)
 
-        out = super_saturate(1, g, state, 0, 1, spy)
+        out = super_saturate(1, g, state, spy)
         assert out == []
         assert 1 in state.super_saturated
         assert calls == []
@@ -232,7 +233,7 @@ class TestSuperSaturate:
         state = _init_state(g, 0, 2)
         force_collect(state, g, (0, 1))
         with pytest.raises(ValueError):
-            super_saturate(1, g, state, 0, 2, yen_pksp)
+            super_saturate(1, g, state, yen_pksp)
 
     def test_stored_path_kept_when_subroutine_leaves_it_out(self):
         # Three weight-5 paths reach 4. T_4 holds (0, 3, 4); the subroutine's
@@ -251,7 +252,7 @@ class TestSuperSaturate:
             return PathCollection(s, t, [Path.from_vertices(graph, seq)
                                          for seq in ((0, 1, 4), (0, 2, 4))])
 
-        out = super_saturate(5, g, state, 0, 2, leaves_out_stored)
+        out = super_saturate(5, g, state, leaves_out_stored)
         assert [p.vertices() for p in out] == [(0, 1, 4)]
         assert state.super_saturated == {0, 1, 2, 3, 4, 5}
 
@@ -309,11 +310,11 @@ class TestSuperSaturate:
         real = ssksp_mod.super_saturate
         closures = []
 
-        def checked(v, graph, state, root, k, pksp):
+        def checked(v, graph, state, pksp):
             want_enqueued, want_closure = naive_super_saturate(
-                v, graph, state, root, k, pksp)
+                v, graph, state, pksp)
             before = set(state.super_saturated)
-            got = real(v, graph, state, root, k, pksp)
+            got = real(v, graph, state, pksp)
             assert [(p.weight, p.vertices()) for p in got] == want_enqueued
             assert state.super_saturated - before == want_closure
             closures.append(len(want_closure))
@@ -376,9 +377,9 @@ class TestSuperSaturate:
             state = _init_state(g, root, k)
             for v, col in first.collections.items():
                 state.paths_to[v].extend(col.entries)
-            _, want_closure = naive_super_saturate(anchor, g, state, root,
-                                                   k, yen_pksp)
-            super_saturate(anchor, g, state, root, k, yen_pksp)
+            _, want_closure = naive_super_saturate(anchor, g, state,
+                                                   yen_pksp)
+            super_saturate(anchor, g, state, yen_pksp)
             assert len(want_closure) > 1
             assert state.super_saturated - {root} == want_closure
 
@@ -539,9 +540,9 @@ class TestSolutionStructure:
             closures = {v: predecessor_closure(sol, v)
                         for v in range(graph.vertex_count)}
             for v, closure in closures.items():
-                assert v in closure.members
-                for x in closure.members:
-                    assert closures[x].members <= closure.members
+                assert v in closure
+                for x in closure:
+                    assert closures[x] <= closure
             runs += 1
         assert runs >= 20
 
