@@ -37,6 +37,9 @@ SOLVERS: dict[str, Callable[..., SsKsspSolution]] = {
     "ss-yen": ss_yen,
 }
 
+# bench times the baseline against the subject and reports baseline/subject.
+BASELINE = "ss-yen"
+SUBJECT = "bounded"
 BENCH_COLUMNS = ("graph", "algo", "k", "root", "seconds", "normal_ins",
                  "exceptional_ins", "dequeues", "pksp_calls", "digest")
 
@@ -183,9 +186,12 @@ class BenchRecord:
     k: int
     root: int
     seconds: float
-    stats: Optional[RunStats]
+    stats: Optional[RunStats]       # None when the run was censored
     digest: str
-    censored: bool = False
+
+    @property
+    def censored(self) -> bool:
+        return self.stats is None
 
     def row(self) -> list[str]:
         s = self.stats
@@ -215,27 +221,24 @@ def _timed_run(solver: Callable[..., SsKsspSolution], graph: Graph, root: int,
 
 
 def bench_cell(graph: Graph, graph_id: str, k: int, roots: Sequence[int],
-               reps: int = 1, timeout: float = 300.0,
-               algos: Sequence[str] = ("ss-yen", "bounded"),
-               ) -> list[BenchRecord]:
-    """Time the given algorithms over the same roots; timeouts are censored.
+               reps: int = 1, timeout: float = 300.0) -> list[BenchRecord]:
+    """Time ss-yen and bounded over the same roots; timeouts are censored.
 
     Timing excludes graph loading and includes solver construction. Outputs
     must be identical across repetitions of the same configuration.
     """
     records = []
-    for name in algos:
+    for name in (BASELINE, SUBJECT):
         solver = SOLVERS[name]
         for root in roots:
             seconds: list[float] = []
             digest = ""
             stats: Optional[RunStats] = None
-            censored = False
             for _ in range(max(1, reps)):
                 elapsed, solution = _timed_run(solver, graph, root, k, timeout)
                 seconds.append(elapsed)
                 if solution is None:
-                    censored = True
+                    stats, digest = None, "censored"
                     break
                 rep_digest = profile_digest(solution)
                 if digest and rep_digest != digest:
@@ -243,15 +246,13 @@ def bench_cell(graph: Graph, graph_id: str, k: int, roots: Sequence[int],
                         f"{name} produced different outputs across repetitions")
                 digest = rep_digest
                 stats = solution.stats
-            records.append(BenchRecord(
-                graph_id, name, k, root, sum(seconds) / len(seconds),
-                stats if not censored else None,
-                digest if not censored else "censored", censored))
+            records.append(BenchRecord(graph_id, name, k, root,
+                                       sum(seconds) / len(seconds),
+                                       stats, digest))
     return records
 
 
 def speedup_summary(records: Sequence[BenchRecord],
-                    baseline: str = "ss-yen", subject: str = "bounded",
                     ) -> list[tuple[str, int, Optional[float]]]:
     """Per (graph, k) cell: mean baseline seconds over mean subject seconds."""
     cells: dict[tuple[str, int], dict[str, list[BenchRecord]]] = {}
@@ -261,8 +262,8 @@ def speedup_summary(records: Sequence[BenchRecord],
     summary = []
     for (graph_id, k) in sorted(cells):
         group = cells[(graph_id, k)]
-        base = group.get(baseline, [])
-        subj = group.get(subject, [])
+        base = group.get(BASELINE, [])
+        subj = group.get(SUBJECT, [])
         if not base or not subj or any(r.censored for r in base + subj):
             summary.append((graph_id, k, None))
             continue
@@ -295,12 +296,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         if args.d is None:
             raise ConfigError("exh-adv requires --d")
         graph = gen_exh_adversarial(args.d).graph
-    elif family == "pruned-adv":
+    else:  # pruned-adv; argparse's choices admit no other family
         if args.d is None:
             raise ConfigError("pruned-adv requires --d")
         graph = gen_pruned_adversarial(args.d).graph
-    else:  # unreachable: argparse restricts choices
-        raise ConfigError(f"unknown family {family!r}")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             dump_graph(graph, handle)
@@ -328,11 +327,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise ConfigError(f"bad k list {args.k!r}")
     if not k_values or any(k < 1 for k in k_values):
         raise ConfigError(f"bad k list {args.k!r}")
-    graph_paths = list(args.graphs) + list(args.graph_opts or ())
-    if not graph_paths:
+    if not args.graphs:
         raise ConfigError("no graph files given")
     all_records: list[BenchRecord] = []
-    for path in graph_paths:
+    for path in args.graphs:
         graph = load_graph_file(path)
         graph_id = os.path.basename(path)
         if not 0 < args.roots <= graph.vertex_count:
@@ -401,8 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="time ss-yen against bounded")
     bench.add_argument("graphs", nargs="*", help="graph files")
-    bench.add_argument("--graph", action="append", dest="graph_opts",
-                       metavar="FILE", help="graph file (repeatable)")
     bench.add_argument("--k", default="2,4,8", help="comma-separated k values")
     bench.add_argument("--roots", type=int, default=3,
                        help="number of roots sampled per graph")

@@ -157,11 +157,14 @@ def yen_pksp(graph: Graph, source: int, target: int, k: int,
     """Top-k simple shortest paths for one vertex pair.
 
     Shortest path first; every accepted path then spawns spur deviations with
-    the root-path vertices and the next edges of all root-sharing accepted
-    paths masked out. Candidates live in a min-queue ordered by (weight,
-    vertex count, vertex sequence); spur generation starts at each path's own
-    deviation index, which provably covers the same candidate space as
-    restarting from the first vertex.
+    the root-path vertices and the next arcs of all root-sharing accepted
+    paths masked out. Only arcs leaving the spur are masked: the spur is the
+    search root, so no arc into it is ever used. Candidates live in a
+    min-queue ordered by (weight, vertex count, vertex sequence). Spur
+    generation starts at each path's own deviation index (Lawler), which
+    covers the same candidate space as restarting from the first vertex and
+    makes each candidate the lightest path of its own part of a partition of
+    the unaccepted paths, so no candidate is pushed twice.
 
     Weighted graphs run Yen from the target in the reversed graph, guided by
     ``tree``, the forward shortest-path tree from ``source`` (built here when
@@ -191,10 +194,9 @@ def yen_pksp(graph: Graph, source: int, target: int, k: int,
     if first is None:
         return PathCollection(source, target, [])
     accepted: list[tuple[int, ...]] = []
-    pushed = {first[1]}
     # heap entries: (weight, length, sequence, deviation index)
     heap = [(first[0], len(first[1]), first[1], 0)]
-    while heap and len(accepted) < k:
+    while heap:
         _, _, seq, dev = heapq.heappop(heap)
         accepted.append(seq)
         if len(accepted) == k:
@@ -202,26 +204,20 @@ def yen_pksp(graph: Graph, source: int, target: int, k: int,
         arcs = zip(seq, seq[1:]) if step == 1 else zip(seq[1:], seq)
         prefix_weight = list(accumulate(
             (graph.edge_weight(a, b) for a, b in arcs), initial=0.0))
+        removed_vertices = set(seq[:dev])
+        sharing = [a for a in accepted if a[:dev] == seq[:dev]]
         for i in range(dev, len(seq) - 1):
-            root = seq[:i + 1]
             spur = seq[i]
-            removed_vertices = set(root[:-1])
-            removed_arcs: set[tuple[int, int]] = set()
-            for aseq in accepted:
-                if aseq[:i + 1] == root and len(aseq) > i + 1:
-                    removed_arcs.add((aseq[i], aseq[i + 1]))
-                    if not graph.directed:
-                        removed_arcs.add((aseq[i + 1], aseq[i]))
-            spur_found = spur_path(spur, removed_vertices, removed_arcs)
-            if spur_found is None:
-                continue
-            spur_weight, spur_seq = spur_found
-            candidate = root[:-1] + spur_seq
-            if candidate in pushed:
-                continue
-            pushed.add(candidate)
-            heapq.heappush(heap, (prefix_weight[i] + spur_weight,
-                                  len(candidate), candidate, i))
+            # accepted paths through seq[:i + 1]; each goes on past the spur
+            sharing = [a for a in sharing if a[i] == spur]
+            spur_found = spur_path(spur, removed_vertices,
+                                   {(spur, a[i + 1]) for a in sharing})
+            removed_vertices.add(spur)
+            if spur_found is not None:
+                spur_weight, spur_seq = spur_found
+                candidate = seq[:i] + spur_seq
+                heapq.heappush(heap, (prefix_weight[i] + spur_weight,
+                                      len(candidate), candidate, i))
     entries = [Path.from_vertices(graph, seq[::step]) for seq in accepted]
     if graph.weighted:
         entries.sort()

@@ -21,7 +21,7 @@ decides whether a dequeued path is extended.
 from __future__ import annotations
 
 import heapq
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import partial
 from math import inf
@@ -60,7 +60,7 @@ class RunStats:
     pruning_calls: int = 0
     peak_queue_size: int = 0
     monotone_dequeues: bool = True
-    insertions_by_terminal: dict[int, int] = field(default_factory=dict)
+    insertions_by_terminal: Counter[int] = field(default_factory=Counter)
 
 
 class RankedPathQueue:
@@ -152,11 +152,6 @@ def _init_state(graph: Graph, root: int, k: int,
     )
 
 
-def _count_insertion(stats: RunStats, terminal: int) -> None:
-    by_terminal = stats.insertions_by_terminal
-    by_terminal[terminal] = by_terminal.get(terminal, 0) + 1
-
-
 def _run_queue(graph: Graph, root: int, k: int,
                progress: Optional[ProgressCallback],
                extend: Callable[[Path, SolverState], bool]) -> SsKsspSolution:
@@ -197,7 +192,7 @@ def _run_queue(graph: Graph, root: int, k: int,
                 if u not in on_path and u not in super_saturated:
                     queue.enqueue(path.extend_to(u, w))
                     stats.normal_insertions += 1
-                    _count_insertion(stats, u)
+                    stats.insertions_by_terminal[u] += 1
         bucket = paths_to[v]
         if len(bucket) < k:
             bucket.append(path)
@@ -303,8 +298,6 @@ def super_saturate(v: int, graph: Graph, state: SolverState,
     seen = {v}
     while frontier:
         x = frontier.popleft()
-        if x in state.super_saturated:
-            continue
         solution_x = state.paths_to[x]
         if len(solution_x) < k:
             if progress is not None and stats.pksp_calls > calls_before:
@@ -326,7 +319,7 @@ def super_saturate(v: int, graph: Graph, state: SolverState,
                 if path not in queue:
                     queue.enqueue(path)
                     stats.exceptional_insertions += 1
-                    _count_insertion(stats, path.last)
+                    stats.insertions_by_terminal[path.last] += 1
                     enqueued.append(path)
             solution_x = solution_x + missing
         reached: set[int] = set()

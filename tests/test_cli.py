@@ -268,6 +268,10 @@ class TestBench:
     def test_bad_k_list(self, small_er_file, capsys):
         assert main(["bench", small_er_file, "--k", "2,zero"]) == EXIT_CONFIG
 
+    def test_no_graph_files(self, capsys):
+        assert main(["bench", "--k", "2"]) == EXIT_CONFIG
+        assert "no graph files given" in capsys.readouterr().err
+
     def test_too_many_roots(self, small_er_file, capsys):
         assert main(["bench", small_er_file, "--roots", "99"]) == EXIT_CONFIG
 

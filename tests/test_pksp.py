@@ -140,6 +140,28 @@ class TestYen:
             weights = [p.weight for p in col.entries]
             assert weights == sorted(weights)
 
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_zero_weight_ties_match_brute_force(self, directed):
+        # Weights in {0, 1, 2}: many zero-weight arcs and tied candidates,
+        # where a candidate pushed twice, or a spur search steered by the
+        # wrong mask, shows as a repeated path or a changed profile.
+        rng = random.Random(1971 + directed)
+        for _ in range(300):
+            n = rng.randint(3, 9)
+            pairs = [(u, v) for u in range(n) for v in range(n)
+                     if u != v and (directed or u < v)]
+            picked = rng.sample(pairs, rng.randint(n, min(len(pairs), 3 * n)))
+            graph = Graph(n, directed, True,
+                          [(u, v, float(rng.randint(0, 2))) for u, v in picked])
+            source, target = rng.sample(range(n), 2)
+            k = rng.choice((2, 4, 8, 16))
+            col = yen_pksp(graph, source, target, k)
+            want = oracle_pair_topk(graph, source, target, k)
+            seqs = [p.vertices() for p in col.entries]
+            assert profile(col) == tuple(w for w, _ in want)
+            assert len(seqs) == len(want)       # maximality
+            assert len(set(seqs)) == len(seqs)
+
 
 def random_weighted_graph(rng, directed, weighted=True):
     """Small graph with integer weights 0..4, so zero-weight arcs and weight
