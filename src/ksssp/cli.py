@@ -20,8 +20,9 @@ from .graph import (Graph, GraphFormatError, dump_graph, gen_barabasi_albert,
                     gen_erdos_renyi, gen_exh_adversarial,
                     gen_pruned_adversarial, load_graph_file)
 from .paths import Path, profile
+from .pksp import _check_query
 from .ssksp import (DEFAULT_ENUMERATION_CAP, EnumerationCapExceeded,
-                    RunStats, SsKsspSolution, _check_query, bounded_ssksp,
+                    RunStats, SsKsspSolution, bounded_ssksp,
                     count_simple_paths, enumerate_all_simple_paths, exh_ssksp,
                     pruned_ssksp, solution_violations, ss_yen)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from math import inf
+from math import inf, isqrt
 from typing import Iterable, Iterator, TextIO
 
 
@@ -233,51 +233,39 @@ def induced_subgraph(graph: Graph, keep: Iterable[int]) -> tuple[Graph, IdMap]:
 
 
 def _strongly_connected_components(graph: Graph) -> list[list[int]]:
-    # Iterative Tarjan; recursion depth would be a liability on chains.
+    # Iterative Kosaraju; sweeping in_adj, the exact transpose, from the
+    # latest unassigned finisher reaches exactly that vertex's component.
     n = graph.vertex_count
-    index_of = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
+    seen = [False] * n
+    order: list[int] = []
     for root in range(n):
-        if index_of[root] != -1:
+        if seen[root]:
             continue
-        work = [(root, 0)]
-        while work:
-            v, edge_idx = work.pop()
-            if edge_idx == 0:
-                index_of[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            adj = graph.out_adj[v]
-            while edge_idx < len(adj):
-                u = adj[edge_idx][0]
-                edge_idx += 1
-                if index_of[u] == -1:
-                    work.append((v, edge_idx))
-                    work.append((u, 0))
-                    advanced = True
+        seen[root] = True
+        stack = [(root, iter(graph.out_adj[root]))]
+        while stack:
+            v, arcs = stack[-1]
+            for u, _ in arcs:
+                if not seen[u]:
+                    seen[u] = True
+                    stack.append((u, iter(graph.out_adj[u])))
                     break
-                if on_stack[u]:
-                    low[v] = min(low[v], index_of[u])
-            if advanced:
-                continue
-            if low[v] == index_of[v]:
-                comp = []
-                while True:
-                    u = stack.pop()
-                    on_stack[u] = False
+            else:
+                stack.pop()
+                order.append(v)
+    assigned = [False] * n
+    components: list[list[int]] = []
+    for root in reversed(order):
+        if assigned[root]:
+            continue
+        assigned[root] = True
+        comp = [root]
+        for v in comp:      # the list grows while it is walked
+            for u, _ in graph.in_adj[v]:
+                if not assigned[u]:
+                    assigned[u] = True
                     comp.append(u)
-                    if u == v:
-                        break
-                components.append(comp)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+        components.append(comp)
     return components
 
 
@@ -303,19 +291,11 @@ def _decode_pair(idx: int, n: int, directed: bool) -> tuple[int, int]:
     if directed:
         u, r = divmod(idx, n - 1)
         return u, r + 1 if r >= u else r
-    # Unordered pairs (u, v), u < v, in lexicographic order; binary search
-    # for the row since rows have decreasing length n-1-u.
-    lo, hi = 0, n - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        base = mid * n - mid * (mid + 1) // 2
-        if base + (n - 1 - mid) > idx:
-            hi = mid
-        else:
-            lo = mid + 1
-    u = lo
-    base = u * n - u * (u + 1) // 2
-    return u, u + 1 + (idx - base)
+    # Unordered pairs u < v in lexicographic order: row u starts at
+    # u*(a - u)/2 with a = 2n - 1, so u = floor((a - sqrt(a*a - 8*idx))/2).
+    a = 2 * n - 1
+    u = (a - isqrt(a * a - 8 * idx - 1) - 1) // 2
+    return u, idx - u * (a - u) // 2 + u + 1
 
 
 def gen_erdos_renyi(n: int, m: int, weighted: bool, directed: bool, seed: int) -> Graph:

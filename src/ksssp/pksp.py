@@ -96,6 +96,12 @@ def shortest_path_tree(graph: Graph, source: int) -> ShortestPathTree:
     return ShortestPathTree(source, dist, parent)
 
 
+def _check_query(graph: Graph, root: int, k: int) -> None:
+    graph._check_vertex(root)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+
+
 SpurPath = Optional[tuple[float, tuple[int, ...]]]
 
 
@@ -175,12 +181,10 @@ def yen_pksp(graph: Graph, source: int, target: int, k: int,
     target yields an empty collection. Raises ValueError on an out-of-range
     vertex, source == target, k < 1 or a tree rooted elsewhere.
     """
-    graph._check_vertex(source)
+    _check_query(graph, source, k)
     graph._check_vertex(target)
     if source == target:
         raise ValueError("source and target must differ")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     if tree is not None and tree.root != source:
         raise ValueError(f"tree is rooted at {tree.root}, not at {source}")
     if graph.weighted:

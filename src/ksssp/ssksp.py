@@ -29,7 +29,7 @@ from typing import Callable, Iterator, Optional
 
 from .graph import Graph
 from .paths import Path, PathCollection, Profile, is_simple, profile
-from .pksp import shortest_path_tree, yen_pksp
+from .pksp import _check_query, shortest_path_tree, yen_pksp
 
 PkspSubroutine = Callable[[Graph, int, int, int], PathCollection]
 ProgressCallback = Callable[[int, int], None]
@@ -127,12 +127,6 @@ class SsKsspSolution:
 
     def profiles(self) -> dict[int, Profile]:
         return {v: profile(col) for v, col in self.collections.items()}
-
-
-def _check_query(graph: Graph, root: int, k: int) -> None:
-    graph._check_vertex(root)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
 
 
 def _init_state(graph: Graph, root: int, k: int,
@@ -392,18 +386,15 @@ def _iter_simple_paths(graph: Graph, root: int) -> Iterator[tuple[float, tuple[i
     on_path = {root}
     stack = [iter(graph.out_adj[root])]
     while stack:
-        advanced = False
         for v, w in stack[-1]:
-            if v in on_path:
-                continue
-            path.append(v)
-            cum.append(cum[-1] + w)
-            on_path.add(v)
-            yield cum[-1], tuple(path)
-            stack.append(iter(graph.out_adj[v]))
-            advanced = True
-            break
-        if not advanced:
+            if v not in on_path:
+                path.append(v)
+                cum.append(cum[-1] + w)
+                on_path.add(v)
+                yield cum[-1], tuple(path)
+                stack.append(iter(graph.out_adj[v]))
+                break
+        else:
             stack.pop()
             on_path.remove(path.pop())
             cum.pop()

@@ -1,4 +1,5 @@
 import io
+import itertools
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from ksssp import (Graph, GraphFormatError, dump_graph, enumerate_all_simple_pat
                    extract_largest_component, gen_barabasi_albert, gen_erdos_renyi,
                    gen_exh_adversarial, gen_pruned_adversarial, induced_subgraph,
                    load_graph)
+from ksssp.graph import _decode_pair, _max_edges, _strongly_connected_components
 
 TRIANGLE = "p ksp 3 3 1 1\n0 1 2.0\n1 2 3.0\n0 2 10.0\n"
 
@@ -172,7 +174,43 @@ class TestInducedSubgraph:
             assert sub.edge_count == expected
 
 
+class TestStronglyConnectedComponents:
+    def test_partition_matches_mutual_reachability(self):
+        rng = random.Random(17)
+        for _ in range(500):
+            n = rng.randint(1, 25)
+            directed = rng.random() < 0.8
+            pairs = [(u, v) for u in range(n) for v in range(n)
+                     if u != v and (directed or u < v)]
+            picked = rng.sample(pairs, rng.randint(0, min(len(pairs), 2 * n)))
+            g = Graph(n, directed, False, [(u, v, 1.0) for u, v in picked])
+            reach = []
+            for s in range(n):
+                seen = {s}
+                frontier = [s]
+                while frontier:
+                    for v, _ in g.out_adj[frontier.pop()]:
+                        if v not in seen:
+                            seen.add(v)
+                            frontier.append(v)
+                reach.append(seen)
+            expected = {frozenset(v for v in reach[u] if u in reach[v])
+                        for u in range(n)}
+            got = [frozenset(c) for c in _strongly_connected_components(g)]
+            assert len(got) == len(expected)
+            assert set(got) == expected
+
+
 class TestErdosRenyi:
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_pair_decoder_order(self, directed):
+        # Every ER graph depends on this bijection, pair order included.
+        order = itertools.permutations if directed else itertools.combinations
+        for n in range(2, 61):
+            decoded = [_decode_pair(i, n, directed)
+                       for i in range(_max_edges(n, directed))]
+            assert decoded == list(order(range(n), 2))
+
     def test_forced_single_edge(self):
         g = gen_erdos_renyi(2, 1, weighted=False, directed=False, seed=3)
         assert g.canonical_edges() == [(0, 1, 1.0)]
