@@ -228,6 +228,8 @@ def bench_cell(graph: Graph, graph_id: str, k: int, roots: Sequence[int],
     Timing excludes graph loading and includes solver construction. Outputs
     must be identical across repetitions of the same configuration.
     """
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
     records = []
     for name in (BASELINE, SUBJECT):
         solver = SOLVERS[name]
@@ -235,7 +237,7 @@ def bench_cell(graph: Graph, graph_id: str, k: int, roots: Sequence[int],
             seconds: list[float] = []
             digest = ""
             stats: Optional[RunStats] = None
-            for _ in range(max(1, reps)):
+            for _ in range(reps):
                 elapsed, solution = _timed_run(solver, graph, root, k, timeout)
                 seconds.append(elapsed)
                 if solution is None:
@@ -293,14 +295,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         if args.n is None or args.attach is None:
             raise ConfigError("ba requires --n and --attach")
         graph = gen_barabasi_albert(args.n, args.attach, args.seed)
-    elif family == "exh-adv":
+    else:  # exh-adv or pruned-adv; argparse's choices admit no other family
         if args.d is None:
-            raise ConfigError("exh-adv requires --d")
-        graph = gen_exh_adversarial(args.d).graph
-    else:  # pruned-adv; argparse's choices admit no other family
-        if args.d is None:
-            raise ConfigError("pruned-adv requires --d")
-        graph = gen_pruned_adversarial(args.d).graph
+            raise ConfigError(f"{family} requires --d")
+        gen = gen_exh_adversarial if family == "exh-adv" else gen_pruned_adversarial
+        graph = gen(args.d).graph
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             dump_graph(graph, handle)
@@ -328,6 +327,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise ConfigError(f"bad k list {args.k!r}")
     if not k_values or any(k < 1 for k in k_values):
         raise ConfigError(f"bad k list {args.k!r}")
+    if args.reps < 1 or not args.timeout > 0:     # a NaN timeout too
+        raise ConfigError("--reps must be >= 1 and --timeout > 0")
     if not args.graphs:
         raise ConfigError("no graph files given")
     all_records: list[BenchRecord] = []
@@ -417,9 +418,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except EnumerationCapExceeded as exc:
         print(f"error: {exc} (use --skip-oracle on large graphs)", file=sys.stderr)
         return EXIT_CONFIG

@@ -5,15 +5,17 @@ baseline solver and, wrapped to 4 arguments, is the bounded solver's default
 subroutine. Both pass it one forward shortest-path tree from the root.
 
 Every shortest-path search runs in ``_search``: a masked BFS on unweighted
-graphs, a masked A* (Dijkstra without a heuristic) on weighted ones. Weighted
-Yen runs in the reversed graph, from the target back to the source, so every
-spur search ends at the source and one forward tree serves every call. A spur
-u first tries the one-sidetrack shortcut (Eppstein, SIAM J. Comput. 1998;
-Kurz & Mutzel, ISAAC 2016): if the tree path of u's lightest allowed
-in-neighbour p (by d(source, p) + w) avoids the mask and u, it plus the arc
-(p, u) is a shortest masked path. Any other spur runs A* with the exact
-heuristic d(source, v). Unweighted spurs run an unguided BFS: guided, it sped
-``ss-yen`` past the bounded solver on unweighted ER.
+graphs, a masked A* (Dijkstra without a heuristic) on weighted ones. Its mask
+is a vertex set plus ``blocked_steps``, the vertices its root may not step to
+first: every arc Yen masks leaves the spur, which is the search's root.
+Weighted Yen runs in the reversed graph, from the target back to the source,
+so every spur search ends at the source and one forward tree serves every
+call. A spur u first tries the one-sidetrack shortcut (Eppstein, SIAM J.
+Comput. 1998; Kurz & Mutzel, ISAAC 2016): if the tree path of u's lightest
+allowed in-neighbour p (by d(source, p) + w) avoids the mask and u, it plus
+the arc (p, u) is a shortest masked path. Any other spur runs A* with the
+exact heuristic d(source, v). Unweighted spurs run an unguided BFS: guided,
+it sped ``ss-yen`` past the bounded solver on unweighted ER.
 """
 from __future__ import annotations
 
@@ -39,10 +41,11 @@ class ShortestPathTree:
 def _search(adj: list[list[tuple[int, float]]], weighted: bool, root: int,
             target: Optional[int] = None,
             removed_vertices: Collection[int] = frozenset(),
-            removed_arcs: Collection[tuple[int, int]] = frozenset(),
+            blocked_steps: Collection[int] = frozenset(),
             h: Optional[list[float]] = None,
             ) -> tuple[list[float], list[Optional[int]]]:
-    """Distances and parents from ``root`` over ``adj`` avoiding the mask;
+    """Distances and parents from ``root`` over ``adj`` avoiding
+    ``removed_vertices`` and the arcs from ``root`` to ``blocked_steps``;
     unlabelled vertices keep dist=inf and no parent.
 
     Unweighted graphs run BFS, stopping once ``target`` is labelled. Weighted
@@ -61,7 +64,7 @@ def _search(adj: list[list[tuple[int, float]]], weighted: bool, root: int,
             du = dist[u] + 1.0
             for v, _ in adj[u]:
                 if dist[v] == inf and v not in removed_vertices \
-                        and (u, v) not in removed_arcs:
+                        and (u != root or v not in blocked_steps):
                     dist[v] = du
                     parent[v] = u
                     if v == target:
@@ -81,7 +84,7 @@ def _search(adj: list[list[tuple[int, float]]], weighted: bool, root: int,
         for v, w in adj[u]:
             nd = gu + w
             if nd < dist[v] and h[v] != inf and v not in removed_vertices \
-                    and (u, v) not in removed_arcs:
+                    and (u != root or v not in blocked_steps):
                 dist[v] = nd
                 parent[v] = u
                 heapq.heappush(heap, (nd + h[v], -nd, v))
@@ -107,12 +110,12 @@ SpurPath = Optional[tuple[float, tuple[int, ...]]]
 
 def _masked_path(adj: list[list[tuple[int, float]]], weighted: bool,
                  target: int, h: Optional[list[float]], source: int,
-                 removed_vertices: set[int],
-                 removed_arcs: set[tuple[int, int]]) -> SpurPath:
+                 removed_vertices: set[int], blocked_steps: set[int]) -> SpurPath:
     """Shortest (weight, vertex sequence) source->target path over ``adj``
-    avoiding the mask, or None; a spur search binds the first four."""
+    avoiding ``removed_vertices`` and the arcs from ``source`` to
+    ``blocked_steps``, or None; a spur search binds the first four."""
     dist, parent = _search(adj, weighted, source, target, removed_vertices,
-                           removed_arcs, h)
+                           blocked_steps, h)
     if dist[target] == inf:
         return None
     seq = [target]
@@ -124,24 +127,23 @@ def _masked_path(adj: list[list[tuple[int, float]]], weighted: bool,
 def _sidetrack_spur(in_adj: list[list[tuple[int, float]]],
                     tree: ShortestPathTree, spur: int,
                     removed_vertices: set[int],
-                    removed_arcs: set[tuple[int, int]]) -> SpurPath:
-    """Shortest spur->root path of the reversed weighted graph avoiding the
-    mask, or None.
+                    blocked_steps: set[int]) -> SpurPath:
+    """Shortest spur->root path of the reversed weighted graph, or None,
+    avoiding ``removed_vertices`` and the arcs from the spur to
+    ``blocked_steps``.
 
     The path (u, ..., root) here is (root, ..., u) in the graph, and the
     root's forward tree gives h(v) = d(root, v), a consistent lower bound
-    under any mask. As in Yen, the spur is not the root, the root is not
-    masked, and every masked arc (in the reversed orientation) touches the
-    spur, so a tree path avoiding the spur avoids them all. When the tree
-    path of the spur's lightest allowed in-neighbour does not, A* runs.
+    under any mask. As in Yen, the spur is not the root and the root is not
+    masked; every blocked step leaves the spur, so a tree path avoiding the
+    spur avoids them all. When the tree path of the spur's lightest allowed
+    in-neighbour does not, A* runs.
     """
     dist = tree.dist
-    best = inf
-    via = spur
+    best, via = inf, spur
     for p, w in in_adj[spur]:
         d = dist[p] + w
-        if d < best and p not in removed_vertices \
-                and (spur, p) not in removed_arcs:
+        if d < best and p not in removed_vertices and p not in blocked_steps:
             best = d
             via = p
     if best == inf:
@@ -152,7 +154,7 @@ def _sidetrack_spur(in_adj: list[list[tuple[int, float]]],
     while p is not None:
         if p == spur or p in removed_vertices:
             return _masked_path(in_adj, True, tree.root, dist, spur,
-                                removed_vertices, removed_arcs)
+                                removed_vertices, blocked_steps)
         seq.append(p)
         p = parent[p]
     return best, tuple(seq)
@@ -163,9 +165,9 @@ def yen_pksp(graph: Graph, source: int, target: int, k: int,
     """Top-k simple shortest paths for one vertex pair.
 
     Shortest path first; every accepted path then spawns spur deviations with
-    the root-path vertices and the next arcs of all root-sharing accepted
-    paths masked out. Only arcs leaving the spur are masked: the spur is the
-    search root, so no arc into it is ever used. Candidates live in a
+    the root-path vertices masked out and the next vertices of all
+    root-sharing accepted paths blocked as first steps: every masked arc
+    leaves the spur, which is the search's root. Candidates live in a
     min-queue ordered by (weight, vertex count, vertex sequence). Spur
     generation starts at each path's own deviation index (Lawler), which
     covers the same candidate space as restarting from the first vertex and
@@ -195,11 +197,9 @@ def yen_pksp(graph: Graph, source: int, target: int, k: int,
         spur_path = partial(_masked_path, graph.out_adj, False, target, None)
         start, step = source, 1
     first = spur_path(start, set(), set())
-    if first is None:
-        return PathCollection(source, target, [])
     accepted: list[tuple[int, ...]] = []
     # heap entries: (weight, length, sequence, deviation index)
-    heap = [(first[0], len(first[1]), first[1], 0)]
+    heap = [] if first is None else [(first[0], len(first[1]), first[1], 0)]
     while heap:
         _, _, seq, dev = heapq.heappop(heap)
         accepted.append(seq)
@@ -215,14 +215,12 @@ def yen_pksp(graph: Graph, source: int, target: int, k: int,
             # accepted paths through seq[:i + 1]; each goes on past the spur
             sharing = [a for a in sharing if a[i] == spur]
             spur_found = spur_path(spur, removed_vertices,
-                                   {(spur, a[i + 1]) for a in sharing})
+                                   {a[i + 1] for a in sharing})
             removed_vertices.add(spur)
             if spur_found is not None:
                 spur_weight, spur_seq = spur_found
                 candidate = seq[:i] + spur_seq
                 heapq.heappush(heap, (prefix_weight[i] + spur_weight,
                                       len(candidate), candidate, i))
-    entries = [Path.from_vertices(graph, seq[::step]) for seq in accepted]
-    if graph.weighted:
-        entries.sort()
-    return PathCollection(source, target, entries)
+    return PathCollection(source, target, sorted(
+        Path.from_vertices(graph, seq[::step]) for seq in accepted))

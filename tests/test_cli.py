@@ -265,6 +265,21 @@ class TestBench:
         assert payload["records"][0]["graph"] == "er.ksp"
         assert payload["speedups"][0]["speedup"] is not None
 
+    @pytest.mark.parametrize("flags", [["--reps", "0"], ["--reps", "-3"],
+                                       ["--timeout", "-1"], ["--timeout", "0"],
+                                       ["--timeout", "nan"]])
+    def test_bad_reps_or_timeout(self, small_er_file, capsys, flags):
+        assert main(["bench", small_er_file, "--k", "1", "--roots", "1",
+                     *flags]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--reps must be >= 1 and --timeout > 0" in captured.err
+
+    def test_bench_cell_refuses_reps_below_one(self, small_er_file):
+        graph = load_graph(io.StringIO(open(small_er_file).read()))
+        with pytest.raises(ValueError, match="reps must be >= 1, got 0"):
+            bench_cell(graph, "er", 2, roots=[1], reps=0)
+
     def test_bad_k_list(self, small_er_file, capsys):
         assert main(["bench", small_er_file, "--k", "2,zero"]) == EXIT_CONFIG
 

@@ -189,24 +189,25 @@ def tree_path(tree, v):
     return seq[::-1]
 
 
-def lightest_in_arcs(graph, tree, spur, removed_vertices, removed_arcs):
+def lightest_in_arcs(graph, tree, spur, removed_vertices, blocked_steps):
     """The allowed in-neighbours p of the spur minimising d(root, p) + w."""
     allowed = [(tree.dist[p] + w, p) for p, w in graph.in_adj[spur]
-               if p not in removed_vertices and (spur, p) not in removed_arcs]
+               if p not in removed_vertices and p not in blocked_steps]
     best = min((d for d, _ in allowed), default=inf)
     return [p for d, p in allowed if d == best < inf]
 
 
 def random_mask(rng, graph, tree, spur):
     """A Yen-shaped mask in the reversed orientation: vertices other than the
-    spur and the root, and arcs leaving the spur (with their twins when
-    undirected). Half the time it also cuts the tree path of one of the
-    spur's lightest in-neighbours, at a vertex or at the spur's arc to it."""
+    spur and the root, and blocked first steps, drawn from the spur's
+    neighbours in the reversed graph. Half the time it also cuts the tree
+    path of one of the spur's lightest in-neighbours, at a vertex or by
+    blocking the step to it."""
     root = tree.root
     others = [v for v in range(graph.vertex_count) if v not in (spur, root)]
     removed_vertices = set(rng.sample(others, rng.randint(0, len(others) // 2)))
     outs = [p for p, _ in graph.in_adj[spur]]
-    removed_arcs = {(spur, p) for p in rng.sample(outs, rng.randint(0, len(outs)))}
+    blocked_steps = set(rng.sample(outs, rng.randint(0, len(outs))))
     parents = lightest_in_arcs(graph, tree, spur, set(), set())
     if parents and rng.random() < 0.5:
         p = rng.choice(parents)
@@ -214,11 +215,9 @@ def random_mask(rng, graph, tree, spur):
         if inner and rng.random() < 0.5:
             removed_vertices.add(rng.choice(inner))
         else:
-            removed_arcs.add((spur, p))
-    if not graph.directed:
-        removed_arcs |= {(b, a) for a, b in removed_arcs}
+            blocked_steps.add(p)
     removed_vertices.discard(spur)
-    return removed_vertices, removed_arcs
+    return removed_vertices, blocked_steps
 
 
 def spur_search(graph, tree):
@@ -261,14 +260,15 @@ class TestUnweightedSpurSearch:
         for _ in range(250):
             graph = random_weighted_graph(rng, directed, weighted=False)
             n = graph.vertex_count
-            arcs = [(u, v) for u in range(n) for v, _ in graph.out_adj[u]]
             source = rng.randrange(n)
+            outs = [v for v, _ in graph.out_adj[source]]
             for target in range(n):
                 if target == source:
                     continue
                 others = [v for v in range(n) if v not in (source, target)]
+                # blocked first steps leave the source at least one step
                 mask = (set(rng.sample(others, rng.randint(0, len(others) // 3))),
-                        set(rng.sample(arcs, rng.randint(0, len(arcs) // 3))))
+                        set(rng.sample(outs, rng.randrange(max(len(outs), 1)))))
                 reachable = self.check(graph, source, target, set(), set())
                 cut_off = reachable and not self.check(graph, source, target,
                                                        *mask)
@@ -277,12 +277,13 @@ class TestUnweightedSpurSearch:
         assert kinds[False, False] > 100
 
     @staticmethod
-    def check(graph, source, target, removed_vertices, removed_arcs):
+    def check(graph, source, target, removed_vertices, blocked_steps):
         """Check one spur search; returns whether it found a path."""
+        removed_arcs = {(source, b) for b in blocked_steps}
         want = masked_dijkstra(graph, source, target, removed_vertices,
                                removed_arcs)
         got = _masked_path(graph.out_adj, False, target, None, source,
-                           removed_vertices, removed_arcs)
+                           removed_vertices, blocked_steps)
         if want == inf:
             assert got is None
             return False
@@ -301,13 +302,14 @@ class TestGuidedSpurSearch:
     """The sidetrack shortcut and A* over the reversed graph against a plain
     masked Dijkstra on the reversed graph."""
 
-    def check(self, graph, tree, spur, removed_vertices, removed_arcs):
+    def check(self, graph, tree, spur, removed_vertices, blocked_steps):
         """Check one spur search; returns whether it ran A*."""
         root = tree.root
+        removed_arcs = {(spur, b) for b in blocked_steps}
         want = masked_dijkstra(reversed_graph(graph), spur, root,
                                removed_vertices, removed_arcs)
         search = CountingSpurSearch(graph, tree)
-        got = search(spur, removed_vertices, removed_arcs)
+        got = search(spur, removed_vertices, blocked_steps)
         if want == inf:
             assert got is None
             return search.astar_runs > 0
@@ -345,13 +347,14 @@ class TestGuidedSpurSearch:
         assert runs[False] > 1000 and runs[True] > 100
 
     def test_sidetrack_parent_skips_masked_tree_parent(self):
-        # root 0; tree parent of 3 is 1, but the arc 1->3 (or 1) is masked,
-        # and the next lightest in-arc 2->3 has a clean tree path
+        # root 0; tree parent of 3 is 1, but the step from 3 to 1 is blocked
+        # (or 1 is masked), and the next lightest in-arc 2->3 has a clean
+        # tree path
         g = Graph(4, True, True, [(0, 1, 1.0), (1, 3, 1.0), (0, 2, 1.0),
                                   (2, 3, 2.0)])
         tree = shortest_path_tree(g, 0)
         assert tree.parent[3] == 1
-        for mask in ((set(), {(3, 1)}), ({1}, set())):
+        for mask in ((set(), {1}), ({1}, set())):
             search = CountingSpurSearch(g, tree)
             assert search(3, *mask) == (3.0, (3, 2, 0))
             assert search.astar_runs == 0
@@ -363,7 +366,7 @@ class TestGuidedSpurSearch:
         tree = shortest_path_tree(g, 0)
         search = spur_search(g, tree)
         assert search(1, set(), set()) == (1.0, (1, 0))
-        assert search(1, set(), {(1, 0)}) is None
+        assert search(1, set(), {0}) is None
         assert search(2, set(), set()) == (1.0, (2, 1, 0))
 
     def test_spur_next_to_root(self):
@@ -371,15 +374,15 @@ class TestGuidedSpurSearch:
         tree = shortest_path_tree(g, 0)
         search = spur_search(g, tree)
         assert search(1, set(), set()) == (2.0, (1, 2, 0))
-        assert search(1, set(), {(1, 2), (2, 1)}) == (4.0, (1, 0))
+        assert search(1, set(), {2}) == (4.0, (1, 0))
         assert search(1, {2}, set()) == (4.0, (1, 0))
 
     def test_unreachable_only_after_masking(self):
-        # 0->1->3 and 0->2->3; masking both arcs into 3 cuts it off
+        # 0->1->3 and 0->2->3; blocking both steps back from 3 cuts it off
         g = Graph(4, True, True, [(0, 1, 1.0), (1, 3, 0.0), (0, 2, 2.0),
                                   (2, 3, 0.0)])
         search = spur_search(g, shortest_path_tree(g, 0))
-        assert search(3, set(), {(3, 1), (3, 2)}) is None
+        assert search(3, set(), {1, 2}) is None
         assert search(3, {1, 2}, set()) is None
         assert search(3, {1}, set()) == (2.0, (3, 2, 0))
 
@@ -388,7 +391,7 @@ class TestGuidedSpurSearch:
                                   (3, 2, 1.0)])
         search = spur_search(g, shortest_path_tree(g, 0))
         assert search(3, set(), set()) is None
-        assert search(2, set(), {(2, 1)}) is None
+        assert search(2, set(), {1}) is None
 
     def test_yen_matches_brute_force_weighted(self):
         rng = random.Random(88)
