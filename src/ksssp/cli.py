@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import random
 import sys
 import time
@@ -110,25 +109,23 @@ def _render_tsv(solution: SsKsspSolution, n: int) -> list[str]:
             todo.append((p.length, len(lines), rank, p))
             lines.append("")
     todo.sort(key=itemgetter(0))
-    # id of a rendered path -> (its line, offset of its vertex text). The
-    # solution keeps every rendered path alive, so no id is reused meanwhile.
-    rendered: dict[int, tuple[str, int]] = {}
+    # rendered path -> (its line, offset of its vertex text)
+    rendered: dict[Path, tuple[str, int]] = {}
     for _, index, rank, p in todo:
         head = f"{p.last}\t{rank}\t{p.weight!r}\t"
-        parent = rendered.get(id(p.prev))
+        parent = rendered.get(p.prev)
         if parent is None:
             line = head + "-".join(map(names.__getitem__, p.vertices()))
         else:
             text, start = parent
             line = f"{head}{text[start:]}-{names[p.last]}"
-        rendered[id(p)] = (line, len(head))
+        rendered[p] = (line, len(head))
         lines[index] = line
     return lines
 
 
 def run_verify(graph: Graph, root: int, k: int, algos: Sequence[str],
                use_oracle: bool = True, cap: int = DEFAULT_ENUMERATION_CAP,
-               solvers: Optional[dict[str, Callable[..., SsKsspSolution]]] = None,
                ) -> tuple[list[str], int]:
     """Run the named algorithms (plus the oracle) and compare profiles.
 
@@ -137,9 +134,8 @@ def run_verify(graph: Graph, root: int, k: int, algos: Sequence[str],
     paths from the root, the oracle raises ``EnumerationCapExceeded`` and,
     without it, exh's guard raises ``ConfigError``, before any solver runs.
     """
-    solvers = solvers if solvers is not None else SOLVERS
     for name in algos:
-        if name not in solvers:
+        if name not in SOLVERS:
             raise ConfigError(f"unknown algorithm {name!r}")
     _check_query(graph, root, k)
     lines = []
@@ -158,7 +154,7 @@ def run_verify(graph: Graph, root: int, k: int, algos: Sequence[str],
         reference = algos[0]
     violations: list[str] = []
     for name in algos:
-        solution = solvers[name](graph, root, k)
+        solution = SOLVERS[name](graph, root, k)
         by_name[name] = solution.profiles()
         violations.extend(solution_violations(graph, solution, name))
     ref_profiles = by_name[reference]
@@ -334,14 +330,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     all_records: list[BenchRecord] = []
     for path in args.graphs:
         graph = load_graph_file(path)
-        graph_id = os.path.basename(path)
         if not 0 < args.roots <= graph.vertex_count:
             raise ConfigError(f"cannot sample {args.roots} roots from "
                               f"{graph.vertex_count} vertices")
         roots = random.Random(args.seed).sample(range(graph.vertex_count),
                                                 args.roots)
         for k in k_values:
-            all_records.extend(bench_cell(graph, graph_id, k, roots,
+            all_records.extend(bench_cell(graph, path, k, roots,
                                           reps=args.reps, timeout=args.timeout))
     summary = speedup_summary(all_records)
     if args.format == "json":

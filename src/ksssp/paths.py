@@ -8,9 +8,9 @@ cached, so a child of a cached path costs one tuple concatenation rather than
 a walk of its whole chain. Ordering and equality both walk the two chains back
 from their ends in lockstep and stop at the first node they share, so two
 paths with a long common prefix compare in time proportional to where they
-differ, not to their length. Identity is decided by a rolling fingerprint
-plus a mandatory sequence comparison, so hash collisions can never produce a
-false "already present" answer.
+differ, not to their length. A path's hash is the builtin tuple hash chained
+from its prefix's, and equality always compares sequences, so a hash
+collision can never produce a false "already present" answer.
 """
 from __future__ import annotations
 
@@ -20,12 +20,6 @@ from typing import Optional, TYPE_CHECKING
 if TYPE_CHECKING:
     from .graph import Graph
 
-# Fingerprints are polynomial rolling hashes mod a Mersenne prime; combining
-# is O(1) per appended vertex.
-_FP_MOD = (1 << 61) - 1
-_FP_BASE = 0x9E3779B97F4A7C15 % _FP_MOD
-_FP_EMPTY = 0x243F6A8885A308D3 % _FP_MOD
-
 Profile = tuple[float, ...]
 
 
@@ -34,16 +28,12 @@ class Path:
 
     Ordering is the global tie-break used by every priority queue here:
     (weight, vertex count, lexicographic vertex sequence). Equality means
-    sequence equality; the fingerprint only serves as the hash. Neither
+    sequence equality; the fingerprint, ``hash((prev.fingerprint, last))``
+    chained from ``hash((first,))``, only serves as the hash. Neither
     builds a vertex tuple: both stop at the shared prefix node.
-
-    ``walk_mark`` is an opaque token that a solver run sets on the nodes it
-    has walked (see ``ssksp.super_saturate``); a node's mark is only ever
-    compared by identity with the token of the run that reads it.
     """
 
-    __slots__ = ("prev", "last", "weight", "length", "fingerprint", "_seq",
-                 "walk_mark")
+    __slots__ = ("prev", "last", "weight", "length", "fingerprint", "_seq")
 
     prev: Optional["Path"]
     last: int
@@ -59,13 +49,11 @@ class Path:
         self.length = length
         self.fingerprint = fingerprint
         self._seq: Optional[tuple[int, ...]] = None
-        self.walk_mark: object = None
 
     @classmethod
     def single(cls, v: int) -> "Path":
         """The trivial path (v) of weight 0."""
-        fp = (_FP_EMPTY * _FP_BASE + v + 1) % _FP_MOD
-        return cls(None, v, 0.0, 1, fp)
+        return cls(None, v, 0.0, 1, hash((v,)))
 
     @classmethod
     def from_vertices(cls, graph: "Graph", vertices: list[int] | tuple[int, ...]) -> "Path":
@@ -82,8 +70,8 @@ class Path:
 
     def extend_to(self, u: int, edge_weight: float) -> "Path":
         """Append vertex u reached over an edge of the given weight; O(1)."""
-        fp = (self.fingerprint * _FP_BASE + u + 1) % _FP_MOD
-        return Path(self, u, self.weight + edge_weight, self.length + 1, fp)
+        return Path(self, u, self.weight + edge_weight, self.length + 1,
+                    hash((self.fingerprint, u)))
 
     def vertices(self) -> tuple[int, ...]:
         """The vertex sequence; materialized on first use and cached.
@@ -158,9 +146,6 @@ class PathCollection:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
 
 
 def profile(collection: PathCollection) -> Profile:

@@ -112,9 +112,9 @@ class SolverState:
     queue: RankedPathQueue
     stats: RunStats
     progress: Optional[ProgressCallback] = None
-    # This run's token for Path.walk_mark: every vertex of a marked node's
-    # prefix is already in the closure walk's seen or super-saturated set.
-    walk_mark: object = field(default_factory=object)
+    # Path nodes the closure walk visited; every prefix vertex of a path
+    # equal to one of them is already in a walk's seen or super-saturated set.
+    walked: set[Path] = field(default_factory=set)
 
 
 @dataclass
@@ -272,8 +272,8 @@ def super_saturate(v: int, graph: Graph, state: SolverState,
     Returns the newly enqueued paths.
 
     The walk takes each member's vertices from its solution paths, stepping
-    back from each path's end only to the first node this run already
-    walked: every vertex of that node's prefix is already in ``seen`` or
+    back from each path's end only to the first node in ``state.walked``:
+    every vertex of that node's prefix is already in ``seen`` or
     super-saturated, so the frontier is the same as from whole paths. The
     run's ``progress`` is called before every subroutine call but the first.
     """
@@ -285,7 +285,7 @@ def super_saturate(v: int, graph: Graph, state: SolverState,
     stats = state.stats
     queue = state.queue
     progress = state.progress
-    mark = state.walk_mark
+    walked = state.walked
     calls_before = stats.pksp_calls
     enqueued: list[Path] = []
     frontier = deque([v])
@@ -319,8 +319,8 @@ def super_saturate(v: int, graph: Graph, state: SolverState,
         reached: set[int] = set()
         for path in solution_x:
             node: Optional[Path] = path
-            while node is not None and node.walk_mark is not mark:
-                node.walk_mark = mark
+            while node is not None and node not in walked:
+                walked.add(node)
                 reached.add(node.last)
                 node = node.prev
         reached -= seen

@@ -4,12 +4,12 @@ import json
 import pytest
 
 import ksssp.cli as cli_mod
-from ksssp import (EnumerationCapExceeded, bounded_ssksp,
+from ksssp import (EnumerationCapExceeded, Path, bounded_ssksp,
                    enumerate_all_simple_paths, gen_erdos_renyi,
                    gen_exh_adversarial, load_graph, shortest_path_tree, ss_yen)
 from ksssp.cli import (ConfigError, EXIT_CONFIG, EXIT_IO, EXIT_MISMATCH, EXIT_OK,
-                       bench_cell, main, profile_digest, run_solve, run_verify,
-                       speedup_summary)
+                       _render_tsv, bench_cell, main, profile_digest, run_solve,
+                       run_verify, speedup_summary)
 
 TRIANGLE = "p ksp 3 3 1 1\n0 1 2.0\n1 2 3.0\n0 2 10.0\n"
 
@@ -128,6 +128,31 @@ class TestRendering:
         assert solution.stats.exceptional_insertions > 0
         assert lines == reference
 
+    def test_equal_copies_reuse_parent_text(self, monkeypatch):
+        # Reuse goes by path value: in collections of rebuilt copies no
+        # path's prefix node is itself an output path, yet only the paths
+        # whose prefix equals no output path join all their ids.
+        graph = gen_erdos_renyi(16, 40, True, True, seed=0)
+        _, reference, solution = solve_with_reference(
+            monkeypatch, graph, 0, 3, "bounded")
+        for col in solution.collections.values():
+            col.entries[:] = [Path.from_vertices(graph, p.vertices())
+                              for p in col.entries]
+        outputs = {p for col in solution.collections.values()
+                   for p in col.entries}
+        joined = []
+        vertices = Path.vertices
+
+        def spy(path):
+            joined.append(path)
+            return vertices(path)
+
+        monkeypatch.setattr(Path, "vertices", spy)
+        assert _render_tsv(solution, graph.vertex_count) == reference
+        want = [p for p in outputs if p.prev not in outputs]
+        assert sorted(joined) == sorted(want)
+        assert len(want) < len(outputs)
+
 
 class TestGen:
     def test_er_deterministic_bytes(self, capsys):
@@ -185,7 +210,7 @@ class TestVerify:
                      "--k", "2", "--skip-oracle"]) == EXIT_OK
         assert "reference: exh" in capsys.readouterr().out
 
-    def test_corrupted_solver_detected(self, small_er_file):
+    def test_corrupted_solver_detected(self, small_er_file, monkeypatch):
         graph = load_graph(io.StringIO(open(small_er_file).read()))
 
         def corrupted(g, root, k, progress=None):
@@ -196,10 +221,9 @@ class TestVerify:
                     break
             return solution
 
+        monkeypatch.setitem(cli_mod.SOLVERS, "broken", corrupted)
         lines, code = run_verify(graph, 0, 3, ["bounded", "broken"],
-                                 use_oracle=False,
-                                 solvers={"bounded": bounded_ssksp,
-                                          "broken": corrupted})
+                                 use_oracle=False)
         assert code == EXIT_MISMATCH
         assert any(line.startswith("MISMATCH vertex") for line in lines)
 
@@ -207,7 +231,7 @@ class TestVerify:
         assert main(["verify", "--graph", small_er_file, "--root", "0",
                      "--k", "1", "--algos", "bounded,magic"]) == EXIT_CONFIG
 
-    def test_enumeration_cap_checked_before_any_solver(self):
+    def test_enumeration_cap_checked_before_any_solver(self, monkeypatch):
         # 2**20 root-to-terminal paths: both the oracle's cap and exh's guard
         # refuse the ladder before a solver is called.
         inst = gen_exh_adversarial(20)
@@ -219,13 +243,13 @@ class TestVerify:
                 return bounded_ssksp(graph, root, k)
             return solve
 
-        fakes = {name: recording(name) for name in ("exh", "bounded")}
+        for name in ("exh", "bounded"):
+            monkeypatch.setitem(cli_mod.SOLVERS, name, recording(name))
         with pytest.raises(EnumerationCapExceeded):
-            run_verify(inst.graph, inst.root, 2, ["exh", "bounded"], cap=1000,
-                       solvers=fakes)
+            run_verify(inst.graph, inst.root, 2, ["exh", "bounded"], cap=1000)
         with pytest.raises(ConfigError, match="enumeration guard"):
             run_verify(inst.graph, inst.root, 2, ["exh", "bounded"],
-                       use_oracle=False, cap=1000, solvers=fakes)
+                       use_oracle=False, cap=1000)
         assert calls == []
 
 
@@ -262,8 +286,24 @@ class TestBench:
                      "--seed", "0", "--format", "json"]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {"records", "speedups"}
-        assert payload["records"][0]["graph"] == "er.ksp"
+        assert payload["records"][0]["graph"] == small_er_file
         assert payload["speedups"][0]["speedup"] is not None
+
+    def test_graphs_sharing_a_basename_stay_apart(self, tmp_path, capsys):
+        paths = []
+        for sub, flags in (("a", []), ("b", ["--weighted"])):
+            (tmp_path / sub).mkdir()
+            paths.append(str(tmp_path / sub / "g.ksp"))
+            assert main(["gen", "er", "--n", "12", "--m", "24", "--seed", "1",
+                         *flags, "--out", paths[-1]]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["bench", *paths, "--k", "2", "--roots", "2"]) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        rows = [line.split("\t") for line in out[1:] if not line.startswith("#")]
+        assert sorted({row[0] for row in rows}) == paths
+        speedups = [line.split("\t")[1] for line in out
+                    if line.startswith("# speedup")]
+        assert speedups == paths
 
     @pytest.mark.parametrize("flags", [["--reps", "0"], ["--reps", "-3"],
                                        ["--timeout", "-1"], ["--timeout", "0"],

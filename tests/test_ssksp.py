@@ -366,20 +366,25 @@ class TestSuperSaturate:
         g, root, k = inst.graph, inst.root, 3
         first, second = bounded_ssksp(g, root, k), bounded_ssksp(g, root, k)
         assert first.stats == second.stats
-        assert ({v: [p.vertices() for p in c] for v, c in
+        assert ({v: [p.vertices() for p in c.entries] for v, c in
                  first.collections.items()}
-                == {v: [p.vertices() for p in c] for v, c in
+                == {v: [p.vertices() for p in c.entries] for v, c in
                     second.collections.items()})
         # A second state over path objects the first one already walked
-        # must walk them again.
+        # must walk them again. Over rebuilt copies, equal but not identical
+        # to each other's prefixes, the walk stops at equal nodes.
         anchor = inst.terminal
-        for _ in range(2):
+        originals = {v: c.entries for v, c in first.collections.items()}
+        copies = {v: [Path.from_vertices(g, p.vertices()) for p in entries]
+                  for v, entries in originals.items()}
+        for collected in (originals, originals, copies):
             state = _init_state(g, root, k)
-            for v, col in first.collections.items():
-                state.paths_to[v].extend(col.entries)
-            _, want_closure = naive_super_saturate(anchor, g, state,
-                                                   yen_pksp)
-            super_saturate(anchor, g, state, yen_pksp)
+            for v, entries in collected.items():
+                state.paths_to[v].extend(entries)
+            want_enqueued, want_closure = naive_super_saturate(
+                anchor, g, state, yen_pksp)
+            enqueued = super_saturate(anchor, g, state, yen_pksp)
+            assert [(p.weight, p.vertices()) for p in enqueued] == want_enqueued
             assert len(want_closure) > 1
             assert state.super_saturated - {root} == want_closure
 
