@@ -9,7 +9,7 @@ from .graph import (DetourLadder, DoublingLadder, Graph, GraphFormatError,
                     gen_barabasi_albert, gen_erdos_renyi, gen_exh_adversarial,
                     gen_pruned_adversarial, induced_subgraph, load_graph,
                     load_graph_file)
-from .paths import Path, PathCollection, Profile, is_simple, profile
+from .paths import Path, Profile, is_simple, profile
 from .pksp import ShortestPathTree, shortest_path_tree, yen_pksp
 from .ssksp import (DEFAULT_ENUMERATION_CAP, EnumerationCapExceeded,
                     QueueInvariantError, RankedPathQueue, RunStats, SolverState,
@@ -25,7 +25,7 @@ __all__ = [
     "dump_graph", "extract_largest_component", "gen_barabasi_albert",
     "gen_erdos_renyi", "gen_exh_adversarial", "gen_pruned_adversarial",
     "induced_subgraph", "load_graph", "load_graph_file",
-    "Path", "PathCollection", "Profile", "is_simple", "profile",
+    "Path", "Profile", "is_simple", "profile",
     "ShortestPathTree", "shortest_path_tree", "yen_pksp",
     "DEFAULT_ENUMERATION_CAP", "EnumerationCapExceeded", "QueueInvariantError",
     "RankedPathQueue", "RunStats", "SolverState", "SsKsspSolution",

@@ -55,8 +55,8 @@ class BenchTimeout(Exception):
 def profile_digest(solution: SsKsspSolution) -> str:
     """Stable digest of the per-vertex profiles; equal profiles, equal digest."""
     h = hashlib.sha256()
-    for v in sorted(solution.collections):
-        weights = ",".join(repr(w) for w in profile(solution.collections[v]))
+    for v, paths in sorted(solution.collections.items()):
+        weights = ",".join(repr(w) for w in profile(paths))
         h.update(f"{v}:{weights};".encode())
     return h.hexdigest()[:16]
 
@@ -86,8 +86,8 @@ def run_solve(graph: Graph, root: int, k: int, algo: str, force: bool = False,
             {"vertex": v,
              "paths": [{"rank": i + 1, "weight": p.weight,
                         "vertices": list(p.vertices())}
-                       for i, p in enumerate(solution.collections[v].entries)]}
-            for v in sorted(solution.collections)
+                       for i, p in enumerate(paths)]}
+            for v, paths in sorted(solution.collections.items())
         ]
         return [json.dumps(payload, indent=2)]
     return _render_tsv(solution, graph.vertex_count)
@@ -101,11 +101,10 @@ def _render_tsv(solution: SsKsspSolution, n: int) -> list[str]:
     other path joins all its ids. Lines come out in vertex and rank order.
     """
     names = list(map(str, range(n)))
-    collections = solution.collections
     lines: list[str] = []
     todo: list[tuple[int, int, int, Path]] = []
-    for v in sorted(collections):
-        for rank, p in enumerate(collections[v].entries, 1):
+    for _, paths in sorted(solution.collections.items()):
+        for rank, p in enumerate(paths, 1):
             todo.append((p.length, len(lines), rank, p))
             lines.append("")
     todo.sort(key=itemgetter(0))
@@ -190,15 +189,18 @@ class BenchRecord:
     def censored(self) -> bool:
         return self.stats is None
 
-    def row(self) -> list[str]:
+    def values(self) -> list:
+        """One value per ``BENCH_COLUMNS`` entry; None for censored counters."""
         s = self.stats
-        return [self.graph_id, self.algorithm, str(self.k), str(self.root),
-                f"{self.seconds:.6f}",
-                str(s.normal_insertions if s else ""),
-                str(s.exceptional_insertions if s else ""),
-                str(s.dequeues if s else ""),
-                str(s.pksp_calls if s else ""),
-                self.digest]
+        counters = [None] * 4 if s is None else [
+            s.normal_insertions, s.exceptional_insertions, s.dequeues,
+            s.pksp_calls]
+        return [self.graph_id, self.algorithm, self.k, self.root,
+                self.seconds, *counters, self.digest]
+
+    def row(self) -> list[str]:
+        return ["" if x is None else f"{x:.6f}" if isinstance(x, float)
+                else str(x) for x in self.values()]
 
 
 def _timed_run(solver: Callable[..., SsKsspSolution], graph: Graph, root: int,
@@ -341,7 +343,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     summary = speedup_summary(all_records)
     if args.format == "json":
         payload = {
-            "records": [dict(zip(BENCH_COLUMNS, r.row())) for r in all_records],
+            "records": [dict(zip(BENCH_COLUMNS, r.values()))
+                        for r in all_records],
             "speedups": [{"graph": g, "k": k,
                           "speedup": None if s is None else round(s, 4)}
                          for g, k, s in summary],

@@ -1,4 +1,4 @@
-"""Path algebra: prefix-shared immutable paths, collections, and profiles.
+"""Path algebra: prefix-shared immutable paths and weight profiles.
 
 A Path is a node chaining to a shared prefix, so extending by one vertex is
 O(1) in time and memory and a run's total path storage is proportional to the
@@ -14,7 +14,6 @@ collision can never produce a false "already present" answer.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -137,17 +136,6 @@ def is_simple(path: Path) -> bool:
     return len(set(verts)) == len(verts)
 
 
-@dataclass
-class PathCollection:
-    """Ordered collection of simple paths between one endpoint pair."""
-    source: int
-    target: int
-    entries: list[Path] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def profile(collection: PathCollection) -> Profile:
-    """Non-decreasing list of the collection's path weights."""
-    return tuple(sorted(p.weight for p in collection.entries))
+def profile(paths: list[Path]) -> Profile:
+    """Non-decreasing list of the paths' weights."""
+    return tuple(sorted(p.weight for p in paths))

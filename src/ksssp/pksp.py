@@ -1,7 +1,8 @@
 """Single-pair machinery: shortest-path trees and Yen's top-k simple paths.
 
-``yen_pksp(graph, source, target, k, tree=None)`` serves the per-target
-baseline solver and, wrapped to 4 arguments, is the bounded solver's default
+``yen_pksp(graph, source, target, k, tree=None)`` returns the pair's top-k
+simple paths as a sorted ``list[Path]``. It serves the per-target baseline
+solver and, wrapped to 4 arguments, is the bounded solver's default
 subroutine. Both pass it one forward shortest-path tree from the root.
 
 Every shortest-path search runs in ``_search``: a masked BFS on unweighted
@@ -28,7 +29,7 @@ from math import inf
 from typing import Collection, Optional
 
 from .graph import Graph
-from .paths import Path, PathCollection
+from .paths import Path
 
 
 @dataclass
@@ -161,7 +162,7 @@ def _sidetrack_spur(in_adj: list[list[tuple[int, float]]],
 
 
 def yen_pksp(graph: Graph, source: int, target: int, k: int,
-             tree: Optional[ShortestPathTree] = None) -> PathCollection:
+             tree: Optional[ShortestPathTree] = None) -> list[Path]:
     """Top-k simple shortest paths for one vertex pair.
 
     Shortest path first; every accepted path then spawns spur deviations with
@@ -179,9 +180,10 @@ def yen_pksp(graph: Graph, source: int, target: int, k: int,
     not given; pass one to share it across targets). Unweighted graphs run
     BFS spur searches from the source and ignore ``tree``.
 
-    Returns all simple paths, sorted, when fewer than k exist; an unreachable
-    target yields an empty collection. Raises ValueError on an out-of-range
-    vertex, source == target, k < 1 or a tree rooted elsewhere.
+    Returns the k lightest simple paths, sorted, or all of them when fewer
+    than k exist; an unreachable target yields an empty list. Raises
+    ValueError on an out-of-range vertex, source == target, k < 1 or a tree
+    rooted elsewhere.
     """
     _check_query(graph, source, k)
     graph._check_vertex(target)
@@ -222,5 +224,4 @@ def yen_pksp(graph: Graph, source: int, target: int, k: int,
                 candidate = seq[:i] + spur_seq
                 heapq.heappush(heap, (prefix_weight[i] + spur_weight,
                                       len(candidate), candidate, i))
-    return PathCollection(source, target, sorted(
-        Path.from_vertices(graph, seq[::step]) for seq in accepted))
+    return sorted(Path.from_vertices(graph, seq[::step]) for seq in accepted)

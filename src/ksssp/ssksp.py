@@ -28,10 +28,10 @@ from math import inf
 from typing import Callable, Iterator, Optional
 
 from .graph import Graph
-from .paths import Path, PathCollection, Profile, is_simple, profile
+from .paths import Path, Profile, is_simple, profile
 from .pksp import _check_query, shortest_path_tree, yen_pksp
 
-PkspSubroutine = Callable[[Graph, int, int, int], PathCollection]
+PkspSubroutine = Callable[[Graph, int, int, int], list[Path]]
 ProgressCallback = Callable[[int, int], None]
 
 DEFAULT_ENUMERATION_CAP = 10_000_000
@@ -119,14 +119,14 @@ class SolverState:
 
 @dataclass
 class SsKsspSolution:
-    """Per-vertex top-k collections for every vertex other than the root."""
+    """Per-vertex top-k path lists, sorted, for every vertex but the root."""
     root: int
     k: int
-    collections: dict[int, PathCollection]
+    collections: dict[int, list[Path]]
     stats: RunStats
 
     def profiles(self) -> dict[int, Profile]:
-        return {v: profile(col) for v, col in self.collections.items()}
+        return {v: profile(paths) for v, paths in self.collections.items()}
 
 
 def _init_state(graph: Graph, root: int, k: int,
@@ -193,8 +193,8 @@ def _run_queue(graph: Graph, root: int, k: int,
             if len(bucket) == k and v != root:
                 state.unsaturated_count -= 1
     stats.peak_queue_size = queue.peak_size
-    collections = {v: PathCollection(root, v, list(paths_to[v]))
-                   for v in range(graph.vertex_count) if v != root}
+    collections = {v: paths_to[v] for v in range(graph.vertex_count)
+                   if v != root}
     return SsKsspSolution(root, k, collections, stats)
 
 
@@ -298,17 +298,25 @@ def super_saturate(v: int, graph: Graph, state: SolverState,
                 progress(stats.dequeues, state.unsaturated_count)
             computed = pksp(graph, root, x, k)
             stats.pksp_calls += 1
+            stored = set(solution_x)
+            missing = [p for p in computed
+                       if p not in stored][:k - len(solution_x)]
+            # An adopted path equal to a queued one starts at the root; any
+            # other is queued as is, and extended once dequeued, which
+            # builds this same cached vertex tuple.
+            wrong = [p for p in computed if p.last != x] + [
+                p for p in missing
+                if p not in queue and p.vertices()[0] != root]
+            if wrong:
+                raise RuntimeError(
+                    f"vertex {x}: the subroutine returned a "
+                    f"({wrong[0].vertices()[0]}, {wrong[0].last}) path")
             # T_x holds |T_x| lightest paths and computed an exact sorted
             # top-k, so T_x plus computed's lightest others keeps its profile.
-            if (computed.source, computed.target) != (root, x) or [
-                    p.weight for p in computed.entries[:len(solution_x)]] \
+            if [p.weight for p in computed[:len(solution_x)]] \
                     != [p.weight for p in solution_x]:
-                raise RuntimeError(
-                    f"vertex {x}: the subroutine's ({computed.source}, "
-                    f"{computed.target}) result does not extend T_{x}'s profile")
-            stored = set(solution_x)
-            missing = [p for p in computed.entries
-                       if p not in stored][:k - len(solution_x)]
+                raise RuntimeError(f"vertex {x}: the subroutine's result "
+                                   f"does not extend T_{x}'s profile")
             for path in missing:
                 if path not in queue:
                     queue.enqueue(path)
@@ -366,7 +374,7 @@ def ss_yen(graph: Graph, root: int, k: int,
     _check_query(graph, root, k)
     tree = shortest_path_tree(graph, root) if graph.weighted else None
     stats = RunStats()
-    collections: dict[int, PathCollection] = {}
+    collections: dict[int, list[Path]] = {}
     n = graph.vertex_count
     for v in range(n):
         if v == root:
@@ -437,10 +445,7 @@ def predecessor_closure(solution: SsKsspSolution, v: int) -> frozenset[int]:
     members = {v}
     frontier = deque([v])
     while frontier:
-        collection = solution.collections.get(frontier.popleft())
-        if collection is None:
-            continue
-        for path in collection.entries:
+        for path in solution.collections.get(frontier.popleft(), ()):
             for u in path.vertices():
                 if u not in members:
                     members.add(u)
@@ -448,39 +453,37 @@ def predecessor_closure(solution: SsKsspSolution, v: int) -> frozenset[int]:
     return frozenset(members)
 
 
-def collection_violations(graph: Graph, collection: PathCollection,
+def collection_violations(graph: Graph, root: int, v: int, paths: list[Path],
                           k: int) -> list[str]:
-    """Human-readable invariant violations of one output collection."""
+    """Human-readable invariant violations of v's output path list."""
     problems = []
-    s, t = collection.source, collection.target
-    entries = collection.entries
-    if len(entries) > k:
-        problems.append(f"vertex {t}: {len(entries)} entries exceed k={k}")
+    if len(paths) > k:
+        problems.append(f"vertex {v}: {len(paths)} entries exceed k={k}")
     seen: set[Path] = set()
     previous = -inf
-    for rank, path in enumerate(entries):
+    for rank, path in enumerate(paths):
         verts = path.vertices()
-        if verts[0] != s or verts[-1] != t:
-            problems.append(f"vertex {t} rank {rank}: endpoints {verts[0]}->{verts[-1]}")
+        if verts[0] != root or verts[-1] != v:
+            problems.append(f"vertex {v} rank {rank}: endpoints {verts[0]}->{verts[-1]}")
         if not is_simple(path):
-            problems.append(f"vertex {t} rank {rank}: path not simple")
+            problems.append(f"vertex {v} rank {rank}: path not simple")
         # Solvers sum weights as a left fold from the root: compare exactly.
         weight = 0.0
         for a, b in zip(verts, verts[1:]):
             w = graph.edge_weight(a, b)
             if w is None:
-                problems.append(f"vertex {t} rank {rank}: missing edge ({a},{b})")
+                problems.append(f"vertex {v} rank {rank}: missing edge ({a},{b})")
                 break
             weight += w
         else:
             if path.weight != weight:
-                problems.append(f"vertex {t} rank {rank}: weight {path.weight!r}"
+                problems.append(f"vertex {v} rank {rank}: weight {path.weight!r}"
                                 f" is not the arc sum {weight!r}")
         if path in seen:
-            problems.append(f"vertex {t} rank {rank}: duplicate path")
+            problems.append(f"vertex {v} rank {rank}: duplicate path")
         seen.add(path)
         if path.weight < previous:
-            problems.append(f"vertex {t} rank {rank}: weights out of order")
+            problems.append(f"vertex {v} rank {rank}: weights out of order")
         previous = path.weight
     return problems
 
@@ -489,8 +492,8 @@ def solution_violations(graph: Graph, solution: SsKsspSolution,
                         algorithm: str = "") -> list[str]:
     """Invariant violations of a solution and its run counters."""
     problems = []
-    for v in sorted(solution.collections):
-        problems.extend(collection_violations(graph, solution.collections[v],
+    for v, paths in sorted(solution.collections.items()):
+        problems.extend(collection_violations(graph, solution.root, v, paths,
                                               solution.k))
     stats = solution.stats
     label = f"{algorithm}: " if algorithm else ""

@@ -206,7 +206,7 @@ def test_criterion_8_yen_conformance():
         collection = yen_pksp(graph, root, target, k)
         want = oracle_pair_topk(graph, root, target, k, cap=5000)
         same_profile = profile(collection) == tuple(w for w, _ in want)
-        maximal = len(collection.entries) == len(want)
+        maximal = len(collection) == len(want)
         if not (same_profile and maximal) and not first_bad:
             first_bad = (f"pair ({root},{target}) k={k}: got "
                          f"{profile(collection)} want {[w for w, _ in want]}")

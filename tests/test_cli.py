@@ -1,5 +1,7 @@
 import io
 import json
+import re
+from pathlib import Path as FilePath
 
 import pytest
 
@@ -102,7 +104,7 @@ def solve_with_reference(monkeypatch, graph, root, k, algo):
     (solution,) = captured
     reference = [f"{v}\t{rank}\t{p.weight!r}\t" + "-".join(map(str, p.vertices()))
                  for v in sorted(solution.collections)
-                 for rank, p in enumerate(solution.collections[v].entries, 1)]
+                 for rank, p in enumerate(solution.collections[v], 1)]
     return lines, reference, solution
 
 
@@ -117,7 +119,7 @@ class TestRendering:
         lines, reference, solution = solve_with_reference(
             monkeypatch, inst.graph, root, 3, algo)
         longest = max(p.length for col in solution.collections.values()
-                      for p in col.entries)
+                      for p in col)
         assert longest == 2 * 6 + 2          # some path spans the ladder
         assert lines == reference
 
@@ -136,10 +138,9 @@ class TestRendering:
         _, reference, solution = solve_with_reference(
             monkeypatch, graph, 0, 3, "bounded")
         for col in solution.collections.values():
-            col.entries[:] = [Path.from_vertices(graph, p.vertices())
-                              for p in col.entries]
+            col[:] = [Path.from_vertices(graph, p.vertices()) for p in col]
         outputs = {p for col in solution.collections.values()
-                   for p in col.entries}
+                   for p in col}
         joined = []
         vertices = Path.vertices
 
@@ -202,8 +203,8 @@ class TestVerify:
         spt = shortest_path_tree(graph, 0)
         sol = bounded_ssksp(graph, 0, 1)
         for v, col in sol.collections.items():
-            if col.entries:
-                assert col.entries[0].weight == spt.dist[v]
+            if col:
+                assert col[0].weight == spt.dist[v]
 
     def test_skip_oracle(self, small_er_file, capsys):
         assert main(["verify", "--graph", small_er_file, "--root", "1",
@@ -216,8 +217,8 @@ class TestVerify:
         def corrupted(g, root, k, progress=None):
             solution = bounded_ssksp(g, root, k)
             for v, col in sorted(solution.collections.items()):
-                if len(col.entries) > 1:
-                    col.entries.pop()    # drop one path: wrong profile
+                if len(col) > 1:
+                    col.pop()    # drop one path: wrong profile
                     break
             return solution
 
@@ -288,6 +289,19 @@ class TestBench:
         assert set(payload) == {"records", "speedups"}
         assert payload["records"][0]["graph"] == small_er_file
         assert payload["speedups"][0]["speedup"] is not None
+        for record in payload["records"]:
+            assert all(type(record[name]) is int for name in (
+                "k", "root", "normal_ins", "exceptional_ins", "dequeues",
+                "pksp_calls"))
+            assert type(record["seconds"]) is float
+
+    def test_json_censored_counters_are_null(self, small_er_file, capsys):
+        assert main(["bench", small_er_file, "--k", "1", "--roots", "1",
+                     "--timeout", "1e-9", "--format", "json"]) == EXIT_OK
+        records = json.loads(capsys.readouterr().out)["records"]
+        assert records and all(r["digest"] == "censored" for r in records)
+        assert all(r[name] is None for r in records for name in (
+            "normal_ins", "exceptional_ins", "dequeues", "pksp_calls"))
 
     def test_graphs_sharing_a_basename_stay_apart(self, tmp_path, capsys):
         paths = []
@@ -375,3 +389,15 @@ class TestDigest:
         a = bounded_ssksp(graph, 0, 1)
         b = bounded_ssksp(graph, 0, 2)
         assert profile_digest(a) != profile_digest(b)
+
+
+def test_readme_library_example(capsys):
+    readme = (FilePath(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    (example,) = re.finditer(r"```python\n(.*?)```", readme, re.DOTALL)
+    # Padded to its place in the file, so a traceback names README lines.
+    padding = "\n" * readme.count("\n", 0, example.start(1))
+    exec(compile(padding + example[1], "README.md", "exec"), {})
+    *paths, stats = capsys.readouterr().out.splitlines()
+    assert paths and all(line.split()[2].startswith("0-") for line in paths)
+    assert stats.startswith("RunStats(")

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ksssp import (Graph, Path, PathCollection, enumerate_all_simple_paths,
+from ksssp import (Graph, Path, enumerate_all_simple_paths,
                    gen_erdos_renyi, is_simple, profile)
 from ksssp.cli import run_solve
 
@@ -231,19 +231,19 @@ def chain_path(seq):
 
 class TestProfiles:
     def test_empty(self):
-        assert profile(PathCollection(0, 1, [])) == ()
+        assert profile([]) == ()
 
     def test_sorted(self, square):
         paths = [Path.single(0).extend_to(1, w) for w in (3.0, 1.0, 2.0)]
-        assert profile(PathCollection(0, 1, paths)) == (1.0, 2.0, 3.0)
+        assert profile(paths) == (1.0, 2.0, 3.0)
 
     def test_permutation_invariant(self, square):
         paths = [Path.single(0).extend_to(1, w) for w in (5.0, 2.0, 2.0, 9.0)]
         rng = random.Random(1)
-        base = profile(PathCollection(0, 1, paths))
+        base = profile(paths)
         for _ in range(5):
             rng.shuffle(paths)
-            assert profile(PathCollection(0, 1, paths)) == base
+            assert profile(paths) == base
 
     def test_tied_feasible_collections_share_profile(self):
         # Two parallel middle vertices give two distinct feasible top-1
@@ -253,9 +253,9 @@ class TestProfiles:
         per_vertex = enumerate_all_simple_paths(g, 0)
         tied = [seq for w, seq in per_vertex[3] if w == 2.0]
         assert len(tied) == 2
-        col_a = PathCollection(0, 3, [Path.from_vertices(g, tied[0])])
-        col_b = PathCollection(0, 3, [Path.from_vertices(g, tied[1])])
-        assert col_a.entries != col_b.entries
+        col_a = [Path.from_vertices(g, tied[0])]
+        col_b = [Path.from_vertices(g, tied[1])]
+        assert col_a != col_b
         assert profile(col_a) == profile(col_b)
 
 

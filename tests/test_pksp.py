@@ -7,7 +7,7 @@ from math import inf
 import pytest
 
 import ksssp.pksp as pksp_mod
-from ksssp import (Graph, Path, PathCollection, bounded_ssksp,
+from ksssp import (Graph, Path, bounded_ssksp,
                    gen_erdos_renyi, profile, shortest_path_tree, yen_pksp)
 from ksssp.pksp import _masked_path, _sidetrack_spur
 from util import (bellman_ford, masked_dijkstra, oracle_pair_topk,
@@ -80,7 +80,7 @@ class TestYen:
     def test_k1_is_shortest_path(self):
         col = yen_pksp(TRIANGLE, 0, 2, 1)
         assert profile(col) == (5.0,)
-        assert col.entries[0].vertices() == (0, 1, 2)
+        assert col[0].vertices() == (0, 1, 2)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -89,13 +89,13 @@ class TestYen:
     def test_unreachable_target_empty(self):
         g = Graph(3, True, True, [(0, 1, 1.0), (2, 0, 1.0)])
         col = yen_pksp(g, 0, 2, 4)
-        assert col.entries == []
+        assert col == []
 
     def test_oversized_k_returns_all_simple_paths(self):
         g = gen_erdos_renyi(8, 16, weighted=True, directed=False, seed=12)
         want = oracle_pair_topk(g, 0, 5, 10 ** 6)
         col = yen_pksp(g, 0, 5, 10 ** 6)
-        assert [(p.weight, p.vertices()) for p in col.entries] == want
+        assert [(p.weight, p.vertices()) for p in col] == want
 
     def test_matches_brute_force_top_k(self):
         rng = random.Random(42)
@@ -108,7 +108,7 @@ class TestYen:
             col = yen_pksp(graph, root, target, k)
             want = oracle_pair_topk(graph, root, target, k)
             assert profile(col) == tuple(w for w, _ in want)
-            assert len(col.entries) == len(want)    # maximality
+            assert len(col) == len(want)    # maximality
             done += 1
         assert done == 100
 
@@ -116,28 +116,28 @@ class TestYen:
         g = gen_erdos_renyi(10, 24, weighted=True, directed=True, seed=21)
         col = yen_pksp(g, 0, 7, 3)
         all_paths = oracle_pair_topk(g, 0, 7, 10 ** 6)
-        inside = {seq for _, seq in all_paths[:len(col.entries)]}
-        if col.entries:
-            heaviest = max(p.weight for p in col.entries)
+        inside = {seq for _, seq in all_paths[:len(col)]}
+        if col:
+            heaviest = max(p.weight for p in col)
             for w, seq in all_paths:
                 if seq not in inside and tuple(seq) not in \
-                        {p.vertices() for p in col.entries}:
+                        {p.vertices() for p in col}:
                     assert w >= heaviest
 
     def test_deterministic(self):
         g = gen_erdos_renyi(14, 40, weighted=False, directed=False, seed=30)
         runs = [yen_pksp(g, 1, 9, 5) for _ in range(2)]
-        assert [p.vertices() for p in runs[0].entries] == \
-            [p.vertices() for p in runs[1].entries]
+        assert [p.vertices() for p in runs[0]] == \
+            [p.vertices() for p in runs[1]]
 
     def test_entries_simple_and_distinct(self):
         for graph, root, k in random_cases(20, seed=5, max_n=18):
             target = (root + 1) % graph.vertex_count
             col = yen_pksp(graph, root, target, max(k, 2))
-            seqs = [p.vertices() for p in col.entries]
+            seqs = [p.vertices() for p in col]
             assert len(set(seqs)) == len(seqs)
             assert all(len(set(s)) == len(s) for s in seqs)
-            weights = [p.weight for p in col.entries]
+            weights = [p.weight for p in col]
             assert weights == sorted(weights)
 
     @pytest.mark.parametrize("directed", [True, False])
@@ -157,7 +157,7 @@ class TestYen:
             k = rng.choice((2, 4, 8, 16))
             col = yen_pksp(graph, source, target, k)
             want = oracle_pair_topk(graph, source, target, k)
-            seqs = [p.vertices() for p in col.entries]
+            seqs = [p.vertices() for p in col]
             assert profile(col) == tuple(w for w, _ in want)
             assert len(seqs) == len(want)       # maximality
             assert len(set(seqs)) == len(seqs)
@@ -406,8 +406,8 @@ class TestGuidedSpurSearch:
             col = yen_pksp(graph, root, target, k)
             want = oracle_pair_topk(graph, root, target, k)
             assert profile(col) == tuple(w for w, _ in want)
-            assert len({p.vertices() for p in col.entries}) == len(want)
-            assert col.entries == sorted(col.entries)
+            assert len({p.vertices() for p in col}) == len(want)
+            assert col == sorted(col)
             done += 1
         assert done >= 50
 
@@ -424,27 +424,27 @@ def tie_fixture():
 
 class TestReconcile:
     """The reference merge in ``util`` and the solver's check of its
-    subroutine's collections."""
+    subroutine's results."""
 
     def test_empty_existing_keeps_full(self):
         _, a, b, _ = tie_fixture()
-        full = PathCollection(0, 4, [a, b])
-        out = reference_merge(full, PathCollection(0, 4, []))
-        assert out.entries == [a, b]
+        full = [a, b]
+        out = reference_merge(full, [])
+        assert out == [a, b]
 
     def test_subset_existing_is_noop_as_set(self):
         _, a, b, _ = tie_fixture()
-        full = PathCollection(0, 4, [a, b])
-        out = reference_merge(full, PathCollection(0, 4, [b]))
-        assert set(out.entries) == {a, b}
+        full = [a, b]
+        out = reference_merge(full, [b])
+        assert set(out) == {a, b}
         assert profile(out) == profile(full)
 
     def test_weight_tied_swap(self):
         _, a, b, c = tie_fixture()
-        full = PathCollection(0, 4, [a, b])
-        out = reference_merge(full, PathCollection(0, 4, [c]))
-        assert c in out.entries
-        assert len([p for p in out.entries if p in (a, b)]) == 1
+        full = [a, b]
+        out = reference_merge(full, [c])
+        assert c in out
+        assert len([p for p in out if p in (a, b)]) == 1
         assert profile(out) == (5.0, 5.0)
 
     # At k=2, vertex 4's third weight-5 path super-saturates it, and the
@@ -464,10 +464,23 @@ class TestReconcile:
 
         def lighter_first(graph, source, target, k):
             fake = Path.single(source).extend_to(target, 0.5)
-            return PathCollection(source, target, [fake])
+            return [fake]
 
         with pytest.raises(RuntimeError, match="vertex 1: .*profile"):
             bounded_ssksp(g, 0, 2, pksp=lighter_first)
+
+    def test_path_from_another_vertex_rejected(self):
+        # T_1's own path and then a path to 1 that starts at 3: the weights
+        # extend T_1's profile and the path ends at 1, so only its first
+        # vertex tells that it is no path from the root.
+        g = tie_fixture()[0]
+
+        def stray_start(graph, source, target, k):
+            stray = Path.single(3).extend_to(target, 4.0)
+            return yen_pksp(graph, source, target, 1) + [stray]
+
+        with pytest.raises(RuntimeError, match=r"vertex 1: .*\(3, 1\)"):
+            bounded_ssksp(g, 0, 2, pksp=stray_start)
 
     def test_preserves_profile_and_containment_randomized(self):
         rng = random.Random(8)
@@ -476,10 +489,10 @@ class TestReconcile:
             if target == root:
                 continue
             full = yen_pksp(graph, root, target, max(k, 2))
-            if not full.entries:
+            if not full:
                 continue
-            cut = rng.randint(0, len(full.entries))
-            existing = PathCollection(root, target, list(full.entries[:cut]))
+            cut = rng.randint(0, len(full))
+            existing = full[:cut]
             out = reference_merge(full, existing)
             assert profile(out) == profile(full)
-            assert set(existing.entries) <= set(out.entries)
+            assert set(existing) <= set(out)

@@ -7,7 +7,7 @@ import pytest
 
 import ksssp.pksp as pksp_mod
 import ksssp.ssksp as ssksp_mod
-from ksssp import (Graph, Path, PathCollection, EnumerationCapExceeded,
+from ksssp import (Graph, Path, EnumerationCapExceeded,
                    RankedPathQueue, bounded_ssksp, count_simple_paths,
                    enumerate_all_simple_paths, exh_ssksp, gen_erdos_renyi,
                    gen_exh_adversarial, gen_pruned_adversarial, is_simple,
@@ -51,9 +51,7 @@ def naive_super_saturate(v, graph, state, pksp):
         bucket = state.paths_to[x]
         entries = list(bucket)
         if len(bucket) < k:
-            entries = reference_merge(
-                pksp(graph, root, x, k),
-                PathCollection(root, x, list(bucket))).entries
+            entries = reference_merge(pksp(graph, root, x, k), bucket)
         enqueued += [(p.weight, p.vertices()) for p in entries
                      if p not in bucket and p not in state.queue]
         reached = {u for p in entries for u in p.vertices()}
@@ -102,7 +100,7 @@ class TestExh:
         g = Graph(4, True, True, [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)])
         sol = exh_ssksp(g, 0, 2)
         for v in (1, 2, 3):
-            assert [p.vertices() for p in sol.collections[v].entries] == [(0, v)]
+            assert [p.vertices() for p in sol.collections[v]] == [(0, v)]
 
     def test_matches_oracle(self):
         for graph, root, k in random_cases(50, seed=101, max_n=20):
@@ -249,8 +247,8 @@ class TestSuperSaturate:
         def leaves_out_stored(graph, s, t, k):
             if t != 4:
                 return yen_pksp(graph, s, t, k)
-            return PathCollection(s, t, [Path.from_vertices(graph, seq)
-                                         for seq in ((0, 1, 4), (0, 2, 4))])
+            return [Path.from_vertices(graph, seq)
+                    for seq in ((0, 1, 4), (0, 2, 4))]
 
         out = super_saturate(5, g, state, leaves_out_stored)
         assert [p.vertices() for p in out] == [(0, 1, 4)]
@@ -354,7 +352,7 @@ class TestSuperSaturate:
                                 key=itemgetter(0))[:k]
                 top = [Path.from_vertices(graph, seq) for _, seq in ranked]
                 swaps += not set(states[-1].paths_to[target]) <= set(top)
-                return PathCollection(source, target, top)
+                return top
 
             sol = bounded_ssksp(graph, root, k, pksp=reversed_ties)
             assert solution_violations(graph, sol, "bounded") == []
@@ -366,15 +364,15 @@ class TestSuperSaturate:
         g, root, k = inst.graph, inst.root, 3
         first, second = bounded_ssksp(g, root, k), bounded_ssksp(g, root, k)
         assert first.stats == second.stats
-        assert ({v: [p.vertices() for p in c.entries] for v, c in
+        assert ({v: [p.vertices() for p in c] for v, c in
                  first.collections.items()}
-                == {v: [p.vertices() for p in c.entries] for v, c in
+                == {v: [p.vertices() for p in c] for v, c in
                     second.collections.items()})
         # A second state over path objects the first one already walked
         # must walk them again. Over rebuilt copies, equal but not identical
         # to each other's prefixes, the walk stops at equal nodes.
         anchor = inst.terminal
-        originals = {v: c.entries for v, c in first.collections.items()}
+        originals = first.collections
         copies = {v: [Path.from_vertices(g, p.vertices()) for p in entries]
                   for v, entries in originals.items()}
         for collected in (originals, originals, copies):
@@ -453,7 +451,7 @@ class TestBounded:
     def test_root_without_out_edges(self):
         g = Graph(3, True, True, [(1, 0, 1.0), (1, 2, 1.0)])
         sol = bounded_ssksp(g, 0, 2)
-        assert all(col.entries == [] for col in sol.collections.values())
+        assert all(col == [] for col in sol.collections.values())
 
     def test_unreachable_vertices_empty(self):
         g = Graph(4, True, True, [(0, 1, 1.0), (2, 3, 1.0)])
@@ -466,7 +464,7 @@ class TestSsYen:
     def test_single_edge(self):
         g = Graph(2, True, True, [(0, 1, 2.5)])
         sol = ss_yen(g, 0, 4)
-        assert [p.vertices() for p in sol.collections[1].entries] == [(0, 1)]
+        assert [p.vertices() for p in sol.collections[1]] == [(0, 1)]
 
     def test_matches_bounded(self):
         for graph, root, k in random_cases(50, seed=404, max_n=20):
@@ -487,6 +485,18 @@ class TestCrossAlgorithm:
                         for name in ("exh", "pruned", "bounded", "ss-yen")]
             assert profiles[0] == profiles[1] == profiles[2] == profiles[3]
 
+    def test_pruning_calls(self):
+        # pruned tests every dequeued path but the root path; no other
+        # solver runs the pruning test.
+        pruned_calls = 0
+        for graph, root, k in random_cases(12, seed=1212, max_n=16):
+            for name, solve in SOLVERS.items():
+                stats = solve(graph, root, k).stats
+                want = stats.dequeues - 1 if name == "pruned" else 0
+                assert stats.pruning_calls == want, name
+                pruned_calls += want
+        assert pruned_calls > 0
+
     def test_monotone_dequeues(self):
         for graph, root, k in random_cases(30, seed=606, max_n=20):
             for name in ("exh", "pruned", "bounded"):
@@ -496,7 +506,7 @@ class TestCrossAlgorithm:
         for graph, root, k in random_cases(20, seed=707, max_n=18):
             sol = bounded_ssksp(graph, root, k)
             for col in sol.collections.values():
-                weights = [p.weight for p in col.entries]
+                weights = [p.weight for p in col]
                 assert weights == sorted(weights)
 
     def test_medium_scale_bounded_vs_ss_yen(self):
@@ -555,7 +565,7 @@ class TestSolutionStructure:
         g = Graph(2, True, True, [(0, 1, 1.0)])
         sol = bounded_ssksp(g, 0, 1)
         assert not solution_violations(g, sol, "bounded")
-        sol.collections[1].entries[0] = Path.single(0).extend_to(1, 5.0)
+        sol.collections[1][0] = Path.single(0).extend_to(1, 5.0)
         assert solution_violations(g, sol, "bounded") == [
             "vertex 1 rank 0: weight 5.0 is not the arc sum 1.0"]
 
@@ -584,14 +594,14 @@ class TestSolutionStructure:
         for graph, root, k in self._prefix_cases():
             sol = bounded_ssksp(graph, root, k)
             per_vertex = enumerate_all_simple_paths(graph, root)
-            t_sequences = {v: {p.vertices() for p in col.entries}
+            t_sequences = {v: {p.vertices() for p in col}
                            for v, col in sol.collections.items()}
             t_vertices = {v: set().union(*(set(s) for s in seqs)) if seqs else set()
                           for v, seqs in t_sequences.items()}
             for w, col in sol.collections.items():
                 all_weights = [weight for weight, _ in per_vertex[w]]
-                k_prime = len(col.entries)
-                for p in col.entries:
+                k_prime = len(col)
+                for p in col:
                     # necessary iff no other path could replace it on a tie
                     if sum(1 for x in all_weights if x <= p.weight) > k_prime:
                         continue
