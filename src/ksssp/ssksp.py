@@ -269,7 +269,9 @@ def super_saturate(v: int, graph: Graph, state: SolverState,
     from its own T otherwise, always containing the paths already stored) and
     its missing paths are enqueued as exceptional insertions. Members are
     marked super-saturated only after their collection has been processed.
-    Returns the newly enqueued paths.
+    Returns the newly enqueued paths. A subroutine answer for x that fails
+    ``collection_violations`` or does not start with T_x's profile raises a
+    ``RuntimeError`` starting ``vertex {x}:`` that lists every problem.
 
     The walk takes each member's vertices from its solution paths, stepping
     back from each path's end only to the first node in ``state.walked``:
@@ -298,25 +300,17 @@ def super_saturate(v: int, graph: Graph, state: SolverState,
                 progress(stats.dequeues, state.unsaturated_count)
             computed = pksp(graph, root, x, k)
             stats.pksp_calls += 1
-            stored = set(solution_x)
-            missing = [p for p in computed
-                       if p not in stored][:k - len(solution_x)]
-            # An adopted path equal to a queued one starts at the root; any
-            # other is queued as is, and extended once dequeued, which
-            # builds this same cached vertex tuple.
-            wrong = [p for p in computed if p.last != x] + [
-                p for p in missing
-                if p not in queue and p.vertices()[0] != root]
-            if wrong:
-                raise RuntimeError(
-                    f"vertex {x}: the subroutine returned a "
-                    f"({wrong[0].vertices()[0]}, {wrong[0].last}) path")
+            problems = collection_violations(graph, root, x, computed, k)
             # T_x holds |T_x| lightest paths and computed an exact sorted
             # top-k, so T_x plus computed's lightest others keeps its profile.
             if [p.weight for p in computed[:len(solution_x)]] \
                     != [p.weight for p in solution_x]:
-                raise RuntimeError(f"vertex {x}: the subroutine's result "
-                                   f"does not extend T_{x}'s profile")
+                problems.append(f"weights do not extend T_{x}'s profile")
+            if problems:
+                raise RuntimeError(f"vertex {x}: " + "; ".join(problems))
+            stored = set(solution_x)
+            missing = [p for p in computed
+                       if p not in stored][:k - len(solution_x)]
             for path in missing:
                 if path not in queue:
                     queue.enqueue(path)
@@ -455,7 +449,9 @@ def predecessor_closure(solution: SsKsspSolution, v: int) -> frozenset[int]:
 
 def collection_violations(graph: Graph, root: int, v: int, paths: list[Path],
                           k: int) -> list[str]:
-    """Human-readable invariant violations of v's output path list."""
+    """Human-readable invariant violations of v's top-k path list, checked
+    on every solver's output by ``verify`` and on every single-pair
+    subroutine answer by ``super_saturate``."""
     problems = []
     if len(paths) > k:
         problems.append(f"vertex {v}: {len(paths)} entries exceed k={k}")
@@ -464,7 +460,7 @@ def collection_violations(graph: Graph, root: int, v: int, paths: list[Path],
     for rank, path in enumerate(paths):
         verts = path.vertices()
         if verts[0] != root or verts[-1] != v:
-            problems.append(f"vertex {v} rank {rank}: endpoints {verts[0]}->{verts[-1]}")
+            problems.append(f"vertex {v} rank {rank}: endpoints ({verts[0]}, {verts[-1]})")
         if not is_simple(path):
             problems.append(f"vertex {v} rank {rank}: path not simple")
         # Solvers sum weights as a left fold from the root: compare exactly.

@@ -8,7 +8,8 @@ import pytest
 import ksssp.cli as cli_mod
 from ksssp import (EnumerationCapExceeded, Path, bounded_ssksp,
                    enumerate_all_simple_paths, gen_erdos_renyi,
-                   gen_exh_adversarial, load_graph, shortest_path_tree, ss_yen)
+                   gen_exh_adversarial, load_graph, load_graph_file,
+                   shortest_path_tree, ss_yen)
 from ksssp.cli import (ConfigError, EXIT_CONFIG, EXIT_IO, EXIT_MISMATCH, EXIT_OK,
                        _render_tsv, bench_cell, main, profile_digest, run_solve,
                        run_verify, speedup_summary)
@@ -199,7 +200,7 @@ class TestVerify:
     def test_k1_reduces_to_distances(self, small_er_file, capsys):
         assert main(["verify", "--graph", small_er_file, "--root", "0",
                      "--k", "1"]) == EXIT_OK
-        graph = load_graph(io.StringIO(open(small_er_file).read()))
+        graph = load_graph_file(small_er_file)
         spt = shortest_path_tree(graph, 0)
         sol = bounded_ssksp(graph, 0, 1)
         for v, col in sol.collections.items():
@@ -212,7 +213,7 @@ class TestVerify:
         assert "reference: exh" in capsys.readouterr().out
 
     def test_corrupted_solver_detected(self, small_er_file, monkeypatch):
-        graph = load_graph(io.StringIO(open(small_er_file).read()))
+        graph = load_graph_file(small_er_file)
 
         def corrupted(g, root, k, progress=None):
             solution = bounded_ssksp(g, root, k)
@@ -268,7 +269,7 @@ class TestBench:
         assert len(speedups) == 2
 
     def test_bench_digest_matches_solve(self, small_er_file):
-        graph = load_graph(io.StringIO(open(small_er_file).read()))
+        graph = load_graph_file(small_er_file)
         records = bench_cell(graph, "er", 2, roots=[4], reps=2, timeout=60.0)
         by_algo = {r.algorithm: r for r in records}
         direct = profile_digest(bounded_ssksp(graph, 4, 2))
@@ -276,7 +277,7 @@ class TestBench:
         assert by_algo["ss-yen"].digest == direct
 
     def test_timeout_censors(self, small_er_file):
-        graph = load_graph(io.StringIO(open(small_er_file).read()))
+        graph = load_graph_file(small_er_file)
         records = bench_cell(graph, "er", 2, roots=[1], reps=1, timeout=0.0)
         assert all(r.censored and r.digest == "censored" for r in records)
         summary = speedup_summary(records)
@@ -330,7 +331,7 @@ class TestBench:
         assert "--reps must be >= 1 and --timeout > 0" in captured.err
 
     def test_bench_cell_refuses_reps_below_one(self, small_er_file):
-        graph = load_graph(io.StringIO(open(small_er_file).read()))
+        graph = load_graph_file(small_er_file)
         with pytest.raises(ValueError, match="reps must be >= 1, got 0"):
             bench_cell(graph, "er", 2, roots=[1], reps=0)
 
@@ -370,7 +371,7 @@ class TestRunConfig:
         assert len(set(sampled[0])) == 5
 
     def test_explicit_roots_validated(self, small_er_file):
-        graph = load_graph(io.StringIO(open(small_er_file).read()))
+        graph = load_graph_file(small_er_file)
         assert (run_solve(graph, 3, 1, "bounded")
                 != run_solve(graph, 0, 1, "bounded"))
         with pytest.raises(ValueError, match="out of range"):
@@ -379,13 +380,13 @@ class TestRunConfig:
 
 class TestDigest:
     def test_equal_profiles_equal_digest(self, small_er_file):
-        graph = load_graph(io.StringIO(open(small_er_file).read()))
+        graph = load_graph_file(small_er_file)
         a = bounded_ssksp(graph, 0, 3)
         b = ss_yen(graph, 0, 3)
         assert profile_digest(a) == profile_digest(b)
 
     def test_different_profiles_different_digest(self, small_er_file):
-        graph = load_graph(io.StringIO(open(small_er_file).read()))
+        graph = load_graph_file(small_er_file)
         a = bounded_ssksp(graph, 0, 1)
         b = bounded_ssksp(graph, 0, 2)
         assert profile_digest(a) != profile_digest(b)

@@ -7,8 +7,8 @@ from math import inf
 import pytest
 
 import ksssp.pksp as pksp_mod
-from ksssp import (Graph, Path, bounded_ssksp,
-                   gen_erdos_renyi, profile, shortest_path_tree, yen_pksp)
+from ksssp import (Graph, Path, bounded_ssksp, gen_erdos_renyi, profile,
+                   shortest_path_tree, solution_violations, yen_pksp)
 from ksssp.pksp import _masked_path, _sidetrack_spur
 from util import (bellman_ford, masked_dijkstra, oracle_pair_topk,
                   random_cases, reference_merge)
@@ -481,6 +481,31 @@ class TestReconcile:
 
         with pytest.raises(RuntimeError, match=r"vertex 1: .*\(3, 1\)"):
             bounded_ssksp(g, 0, 2, pksp=stray_start)
+
+    # tie_fixture plus the arc 4->1, so 1 also has the simple paths 0-2-4-1
+    # and 0-3-4-1 (weight 6) and the walk 0-1-4-1. The run still calls the
+    # subroutine for 1 first, while T_1 holds only 0-1.
+    @pytest.mark.parametrize("bad, problem", [
+        (lambda g: Path.single(0).extend_to(2, 1.0).extend_to(1, 3.0),
+         r"missing edge \(2,1\)"),
+        (lambda g: Path.from_vertices(g, (0, 1, 4, 1)), "not simple"),
+        (lambda g: Path.from_vertices(g, (0, 2, 4)).extend_to(1, 2.0),
+         "weight 7.0 is not the arc sum 6.0"),
+        (lambda g: Path.from_vertices(g, (0, 1)), "duplicate"),
+    ], ids=["missing-arc", "not-simple", "not-arc-sum", "duplicate"])
+    def test_bad_adopted_path_rejected(self, bad, problem):
+        # For 1, T_1's own path and then one bad path from the root to 1
+        # whose weight keeps T_1's profile: the old check let each through.
+        edges = tie_fixture()[0].canonical_edges() + [(4, 1, 1.0)]
+        g = Graph(5, True, True, edges)
+
+        def one_bad(graph, source, target, k):
+            paths = yen_pksp(graph, source, target, k)
+            return paths[:1] + [bad(graph)] if target == 1 else paths
+
+        assert not solution_violations(g, bounded_ssksp(g, 0, 2), "bounded")
+        with pytest.raises(RuntimeError, match=rf"vertex 1: .*{problem}"):
+            bounded_ssksp(g, 0, 2, pksp=one_bad)
 
     def test_preserves_profile_and_containment_randomized(self):
         rng = random.Random(8)

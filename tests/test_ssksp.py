@@ -1,5 +1,6 @@
 import random
 from collections import deque
+from functools import partial
 from math import inf
 from operator import itemgetter
 
@@ -561,13 +562,32 @@ class TestSolutionStructure:
             runs += 1
         assert runs >= 20
 
-    def test_weight_other_than_arc_sum_is_a_violation(self):
-        g = Graph(2, True, True, [(0, 1, 1.0)])
-        sol = bounded_ssksp(g, 0, 1)
+    # Vertex 2 has the simple paths 0-1-2 (2.0), 0-2 (3.0) and 0-3-2 (4.0);
+    # each case swaps in a list for T_2 with one fault.
+    FAULTY = Graph(4, True, True, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 3.0),
+                                   (2, 1, 1.0), (0, 3, 1.0), (3, 2, 3.0)])
+    _p = partial(Path.from_vertices, FAULTY)
+
+    @pytest.mark.parametrize("paths, problem", [
+        ([_p((0, 1, 2)), Path.single(0).extend_to(2, 5.0)],
+         "vertex 2 rank 1: weight 5.0 is not the arc sum 3.0"),
+        ([_p((0, 1, 2)), _p((0, 2)), _p((0, 3, 2))],
+         "vertex 2: 3 entries exceed k=2"),
+        ([_p((0, 1, 2)), _p((3, 2))], "vertex 2 rank 1: endpoints (3, 2)"),
+        ([_p((0, 1, 2)), _p((0, 1, 2, 1, 2))],
+         "vertex 2 rank 1: path not simple"),
+        ([_p((0, 1, 2)), _p((0, 3)).extend_to(1, 1.0).extend_to(2, 1.0)],
+         "vertex 2 rank 1: missing edge (3,1)"),
+        ([_p((0, 1, 2)), _p((0, 1, 2))], "vertex 2 rank 1: duplicate path"),
+        ([_p((0, 2)), _p((0, 1, 2))], "vertex 2 rank 1: weights out of order"),
+    ], ids=["arc-sum", "over-k", "endpoints", "not-simple", "missing-edge",
+            "duplicate", "out-of-order"])
+    def test_each_violation_is_reported(self, paths, problem):
+        g = self.FAULTY
+        sol = bounded_ssksp(g, 0, 2)
         assert not solution_violations(g, sol, "bounded")
-        sol.collections[1][0] = Path.single(0).extend_to(1, 5.0)
-        assert solution_violations(g, sol, "bounded") == [
-            "vertex 1 rank 0: weight 5.0 is not the arc sum 1.0"]
+        sol.collections[2] = paths
+        assert solution_violations(g, sol, "bounded") == [problem]
 
     @staticmethod
     def _prefix_cases():
