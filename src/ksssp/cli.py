@@ -13,6 +13,7 @@ import sys
 import time
 from dataclasses import dataclass
 from operator import itemgetter
+from statistics import median
 from typing import Callable, Optional, Sequence
 
 from .graph import (Graph, GraphFormatError, dump_graph, gen_barabasi_albert,
@@ -40,8 +41,9 @@ SOLVERS: dict[str, Callable[..., SsKsspSolution]] = {
 # bench times the baseline against the subject and reports baseline/subject.
 BASELINE = "ss-yen"
 SUBJECT = "bounded"
-BENCH_COLUMNS = ("graph", "algo", "k", "root", "seconds", "normal_ins",
-                 "exceptional_ins", "dequeues", "pksp_calls", "digest")
+BENCH_COLUMNS = ("graph", "algo", "k", "root", "seconds", "seconds_min",
+                 "normal_ins", "exceptional_ins", "dequeues", "pksp_calls",
+                 "digest")
 
 
 class ConfigError(ValueError):
@@ -181,7 +183,8 @@ class BenchRecord:
     algorithm: str
     k: int
     root: int
-    seconds: float
+    seconds: float                  # median over the reps
+    seconds_min: float
     stats: Optional[RunStats]       # None when the run was censored
     digest: str
 
@@ -196,7 +199,7 @@ class BenchRecord:
             s.normal_insertions, s.exceptional_insertions, s.dequeues,
             s.pksp_calls]
         return [self.graph_id, self.algorithm, self.k, self.root,
-                self.seconds, *counters, self.digest]
+                self.seconds, self.seconds_min, *counters, self.digest]
 
     def row(self) -> list[str]:
         return ["" if x is None else f"{x:.6f}" if isinstance(x, float)
@@ -223,6 +226,7 @@ def bench_cell(graph: Graph, graph_id: str, k: int, roots: Sequence[int],
                reps: int = 1, timeout: float = 300.0) -> list[BenchRecord]:
     """Time ss-yen and bounded over the same roots; timeouts are censored.
 
+    Each record holds the median and the minimum of its reps' wall times.
     Timing excludes graph loading and includes solver construction. Outputs
     must be identical across repetitions of the same configuration.
     """
@@ -248,14 +252,15 @@ def bench_cell(graph: Graph, graph_id: str, k: int, roots: Sequence[int],
                 digest = rep_digest
                 stats = solution.stats
             records.append(BenchRecord(graph_id, name, k, root,
-                                       sum(seconds) / len(seconds),
+                                       median(seconds), min(seconds),
                                        stats, digest))
     return records
 
 
 def speedup_summary(records: Sequence[BenchRecord],
                     ) -> list[tuple[str, int, Optional[float]]]:
-    """Per (graph, k) cell: mean baseline seconds over mean subject seconds."""
+    """Per (graph, k) cell: the mean over roots of baseline ``seconds`` over
+    the same mean of subject ``seconds``."""
     cells: dict[tuple[str, int], dict[str, list[BenchRecord]]] = {}
     for record in records:
         cells.setdefault((record.graph_id, record.k), {}) \

@@ -66,20 +66,33 @@ class RunStats:
 class RankedPathQueue:
     """Min-priority queue over paths with a duplicate-membership index.
 
-    Paths order by (weight, vertex count, vertex sequence). The index is a
-    hash set over path fingerprints with full-sequence confirmation, so it
-    exactly mirrors the heap and never reports a false duplicate.
+    Paths order by (weight, vertex count, vertex sequence). A queued path
+    sits in a binary heap or in a FIFO lane that is sorted at all times:
+    ``enqueue(path, lane=True)`` appends to the lane only when the path
+    does not sort before the lane's tail, and sends it to the heap
+    otherwise. ``dequeue_min`` pops the lesser of the two heads, so the pop
+    order is the heap-only order whatever the flag says; the flag only
+    moves cost. With unit weights, children of paths dequeued in order are
+    created in order (adjacency lists are sorted), so each lane append costs
+    one comparison instead of a heap push. Weighted children mostly sort
+    before the tail, so the test would only add a comparison to their push.
+    An exceptional insertion can be heavier than children still to come;
+    at the lane's tail it would send them all to the heap. Both go to the
+    heap. The index is a hash set over path fingerprints with full-sequence
+    confirmation, so it exactly mirrors heap and lane and never reports a
+    false duplicate.
     """
 
-    __slots__ = ("_heap", "_members", "peak_size")
+    __slots__ = ("_heap", "_lane", "_members", "peak_size")
 
     def __init__(self):
         self._heap: list[Path] = []
+        self._lane: deque[Path] = deque()
         self._members: set[Path] = set()
         self.peak_size = 0
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return len(self._heap) + len(self._lane)
 
     def __contains__(self, path: Path) -> bool:
         return path in self._members
@@ -87,16 +100,25 @@ class RankedPathQueue:
     def member_count(self) -> int:
         return len(self._members)
 
-    def enqueue(self, path: Path) -> None:
+    def enqueue(self, path: Path, lane: bool = False) -> None:
         if path in self._members:
             raise QueueInvariantError(f"already enqueued: {path!r}")
         self._members.add(path)
-        heapq.heappush(self._heap, path)
-        if len(self._heap) > self.peak_size:
-            self.peak_size = len(self._heap)
+        fifo = self._lane
+        if lane and not (fifo and path < fifo[-1]):
+            fifo.append(path)
+        else:
+            heapq.heappush(self._heap, path)
+        size = len(self._heap) + len(fifo)
+        if size > self.peak_size:
+            self.peak_size = size
 
     def dequeue_min(self) -> Path:
-        path = heapq.heappop(self._heap)
+        heap, fifo = self._heap, self._lane
+        if fifo and not (heap and heap[0] < fifo[0]):
+            path = fifo.popleft()
+        else:
+            path = heapq.heappop(heap)
         self._members.remove(path)
         return path
 
@@ -170,6 +192,7 @@ def _run_queue(graph: Graph, root: int, k: int,
     paths_to = state.paths_to
     super_saturated = state.super_saturated
     out_adj = graph.out_adj
+    lane = not graph.weighted
     last_weight = -inf
     while len(queue) and state.unsaturated_count > 0:
         path = queue.dequeue_min()
@@ -184,7 +207,7 @@ def _run_queue(graph: Graph, root: int, k: int,
             on_path = set(path.vertices())
             for u, w in out_adj[v]:
                 if u not in on_path and u not in super_saturated:
-                    queue.enqueue(path.extend_to(u, w))
+                    queue.enqueue(path.extend_to(u, w), lane)
                     stats.normal_insertions += 1
                     stats.insertions_by_terminal[u] += 1
         bucket = paths_to[v]

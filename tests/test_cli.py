@@ -261,8 +261,9 @@ class TestBench:
                      "--seed", "3", "--reps", "2"]) == EXIT_OK
         out = capsys.readouterr().out.strip().splitlines()
         header = out[0].split("\t")
-        assert header == ["graph", "algo", "k", "root", "seconds", "normal_ins",
-                          "exceptional_ins", "dequeues", "pksp_calls", "digest"]
+        assert header == ["graph", "algo", "k", "root", "seconds", "seconds_min",
+                          "normal_ins", "exceptional_ins", "dequeues",
+                          "pksp_calls", "digest"]
         rows = [line.split("\t") for line in out[1:] if not line.startswith("#")]
         assert len(rows) == 8     # 2 algos x 2 roots x 2 k
         speedups = [line for line in out if line.startswith("# speedup")]
@@ -275,6 +276,18 @@ class TestBench:
         direct = profile_digest(bounded_ssksp(graph, 4, 2))
         assert by_algo["bounded"].digest == direct
         assert by_algo["ss-yen"].digest == direct
+
+    def test_seconds_are_median_and_min_of_reps(self, small_er_file,
+                                                monkeypatch):
+        graph = load_graph_file(small_er_file)
+        solution = bounded_ssksp(graph, 1, 2)
+        times = iter([3.0, 1.0, 2.0, 5.0, 4.0, 9.0])
+        monkeypatch.setattr(cli_mod, "_timed_run",
+                            lambda *args: (next(times), solution))
+        records = bench_cell(graph, "er", 2, roots=[1], reps=3)
+        assert [(r.seconds, r.seconds_min) for r in records] \
+            == [(2.0, 1.0), (5.0, 4.0)]
+        assert speedup_summary(records) == [("er", 2, 2.0 / 5.0)]
 
     def test_timeout_censors(self, small_er_file):
         graph = load_graph_file(small_er_file)
@@ -295,6 +308,7 @@ class TestBench:
                 "k", "root", "normal_ins", "exceptional_ins", "dequeues",
                 "pksp_calls"))
             assert type(record["seconds"]) is float
+            assert record["seconds_min"] <= record["seconds"]
 
     def test_json_censored_counters_are_null(self, small_er_file, capsys):
         assert main(["bench", small_er_file, "--k", "1", "--roots", "1",

@@ -521,9 +521,9 @@ class TestCrossAlgorithm:
 class AuditedQueue(RankedPathQueue):
     """Queue that checks simplicity of everything enqueued and index parity."""
 
-    def enqueue(self, path):
+    def enqueue(self, path, lane=False):
         assert is_simple(path), f"non-simple path enqueued: {path!r}"
-        super().enqueue(path)
+        super().enqueue(path, lane)
         assert len(self) == self.member_count()
 
     def dequeue_min(self):
@@ -546,6 +546,42 @@ class TestQueueDiscipline:
             stats = bounded_ssksp(graph, root, k).stats
             assert stats.dequeues <= (stats.normal_insertions
                                       + stats.exceptional_insertions + 1)
+
+
+class HeapOnlyQueue(RankedPathQueue):
+    """Queue that drops the lane flag: every path goes to the heap."""
+
+    def enqueue(self, path, lane=False):
+        super().enqueue(path)
+
+
+class LaneAlwaysQueue(RankedPathQueue):
+    """Queue that offers every path to the lane, weighted and exceptional."""
+
+    def enqueue(self, path, lane=False):
+        super().enqueue(path, True)
+
+
+class TestQueueLane:
+    @pytest.mark.parametrize("variant", [HeapOnlyQueue, LaneAlwaysQueue])
+    def test_lane_flag_changes_no_output(self, monkeypatch, variant):
+        cases = list(random_cases(40, seed=2121, max_n=16))
+        inst = gen_pruned_adversarial(3)
+        cases.append((inst.graph, inst.root, 3))
+
+        def runs():
+            out = []
+            for graph, root, k in cases:
+                for name in ("exh", "pruned", "bounded"):
+                    sol = SOLVERS[name](graph, root, k)
+                    out.append((name, sol.stats, {
+                        v: [(p.weight, p.vertices()) for p in paths]
+                        for v, paths in sol.collections.items()}))
+            return out
+
+        expected = runs()
+        monkeypatch.setattr(ssksp_mod, "RankedPathQueue", variant)
+        assert runs() == expected
 
 
 class TestSolutionStructure:
