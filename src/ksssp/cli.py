@@ -11,7 +11,7 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import itemgetter
 from statistics import median
 from typing import Callable, Optional, Sequence
@@ -41,9 +41,14 @@ SOLVERS: dict[str, Callable[..., SsKsspSolution]] = {
 # bench times the baseline against the subject and reports baseline/subject.
 BASELINE = "ss-yen"
 SUBJECT = "bounded"
+# bench counter column -> the RunStats field it reports
+BENCH_COUNTERS = {"normal_ins": "normal_insertions",
+                  "exceptional_ins": "exceptional_insertions",
+                  "dequeues": "dequeues", "pksp_calls": "pksp_calls"}
 BENCH_COLUMNS = ("graph", "algo", "k", "root", "seconds", "seconds_min",
-                 "normal_ins", "exceptional_ins", "dequeues", "pksp_calls",
-                 "digest")
+                 *BENCH_COUNTERS, "digest")
+# One bench record; a censored run has None counters and digest "censored".
+BenchRow = namedtuple("BenchRow", BENCH_COLUMNS)
 
 
 class ConfigError(ValueError):
@@ -177,33 +182,9 @@ def run_verify(graph: Graph, root: int, k: int, algos: Sequence[str],
     return lines, EXIT_OK
 
 
-@dataclass
-class BenchRecord:
-    graph_id: str
-    algorithm: str
-    k: int
-    root: int
-    seconds: float                  # median over the reps
-    seconds_min: float
-    stats: Optional[RunStats]       # None when the run was censored
-    digest: str
-
-    @property
-    def censored(self) -> bool:
-        return self.stats is None
-
-    def values(self) -> list:
-        """One value per ``BENCH_COLUMNS`` entry; None for censored counters."""
-        s = self.stats
-        counters = [None] * 4 if s is None else [
-            s.normal_insertions, s.exceptional_insertions, s.dequeues,
-            s.pksp_calls]
-        return [self.graph_id, self.algorithm, self.k, self.root,
-                self.seconds, self.seconds_min, *counters, self.digest]
-
-    def row(self) -> list[str]:
-        return ["" if x is None else f"{x:.6f}" if isinstance(x, float)
-                else str(x) for x in self.values()]
+def _tsv_cell(value) -> str:
+    return "" if value is None else f"{value:.6f}" if isinstance(value, float) \
+        else str(value)
 
 
 def _timed_run(solver: Callable[..., SsKsspSolution], graph: Graph, root: int,
@@ -223,7 +204,7 @@ def _timed_run(solver: Callable[..., SsKsspSolution], graph: Graph, root: int,
 
 
 def bench_cell(graph: Graph, graph_id: str, k: int, roots: Sequence[int],
-               reps: int = 1, timeout: float = 300.0) -> list[BenchRecord]:
+               reps: int = 1, timeout: float = 300.0) -> list[BenchRow]:
     """Time ss-yen and bounded over the same roots; timeouts are censored.
 
     Each record holds the median and the minimum of its reps' wall times.
@@ -251,26 +232,28 @@ def bench_cell(graph: Graph, graph_id: str, k: int, roots: Sequence[int],
                         f"{name} produced different outputs across repetitions")
                 digest = rep_digest
                 stats = solution.stats
-            records.append(BenchRecord(graph_id, name, k, root,
-                                       median(seconds), min(seconds),
-                                       stats, digest))
+            counters = [None if stats is None else getattr(stats, field)
+                        for field in BENCH_COUNTERS.values()]
+            records.append(BenchRow(graph_id, name, k, root, median(seconds),
+                                    min(seconds), *counters, digest))
     return records
 
 
-def speedup_summary(records: Sequence[BenchRecord],
+def speedup_summary(records: Sequence[BenchRow],
                     ) -> list[tuple[str, int, Optional[float]]]:
     """Per (graph, k) cell: the mean over roots of baseline ``seconds`` over
     the same mean of subject ``seconds``."""
-    cells: dict[tuple[str, int], dict[str, list[BenchRecord]]] = {}
+    cells: dict[tuple[str, int], dict[str, list[BenchRow]]] = {}
     for record in records:
-        cells.setdefault((record.graph_id, record.k), {}) \
-             .setdefault(record.algorithm, []).append(record)
+        cells.setdefault((record.graph, record.k), {}) \
+             .setdefault(record.algo, []).append(record)
     summary = []
     for (graph_id, k) in sorted(cells):
         group = cells[(graph_id, k)]
         base = group.get(BASELINE, [])
         subj = group.get(SUBJECT, [])
-        if not base or not subj or any(r.censored for r in base + subj):
+        if not base or not subj or any(r.digest == "censored"
+                                       for r in base + subj):
             summary.append((graph_id, k, None))
             continue
         base_mean = sum(r.seconds for r in base) / len(base)
@@ -334,7 +317,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise ConfigError("--reps must be >= 1 and --timeout > 0")
     if not args.graphs:
         raise ConfigError("no graph files given")
-    all_records: list[BenchRecord] = []
+    all_records: list[BenchRow] = []
     for path in args.graphs:
         graph = load_graph_file(path)
         if not 0 < args.roots <= graph.vertex_count:
@@ -348,8 +331,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     summary = speedup_summary(all_records)
     if args.format == "json":
         payload = {
-            "records": [dict(zip(BENCH_COLUMNS, r.values()))
-                        for r in all_records],
+            "records": [r._asdict() for r in all_records],
             "speedups": [{"graph": g, "k": k,
                           "speedup": None if s is None else round(s, 4)}
                          for g, k, s in summary],
@@ -358,7 +340,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     else:
         print("\t".join(BENCH_COLUMNS))
         for record in all_records:
-            print("\t".join(record.row()))
+            print("\t".join(map(_tsv_cell, record)))
         for graph_id, k, speedup in summary:
             shown = "censored" if speedup is None else f"{speedup:.4f}"
             print(f"# speedup\t{graph_id}\t{k}\t{shown}")

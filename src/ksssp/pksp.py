@@ -34,6 +34,7 @@ from .paths import Path
 
 @dataclass
 class ShortestPathTree:
+    graph: Graph
     root: int
     dist: list[float]
     parent: list[Optional[int]]
@@ -97,7 +98,7 @@ def shortest_path_tree(graph: Graph, source: int) -> ShortestPathTree:
     unweighted). Unreachable vertices keep dist=inf and no parent."""
     graph._check_vertex(source)
     dist, parent = _search(graph.out_adj, graph.weighted, source)
-    return ShortestPathTree(source, dist, parent)
+    return ShortestPathTree(graph, source, dist, parent)
 
 
 def _check_query(graph: Graph, root: int, k: int) -> None:
@@ -182,8 +183,9 @@ def yen_pksp(graph: Graph, source: int, target: int, k: int,
 
     Returns the k lightest simple paths, sorted, or all of them when fewer
     than k exist; an unreachable target yields an empty list. Raises
-    ValueError on an out-of-range vertex, source == target, k < 1 or a tree
-    rooted elsewhere.
+    ValueError on an out-of-range vertex, source == target, k < 1, or a tree
+    rooted elsewhere or built for another graph object (its distances would
+    silently steer the spur searches wrong).
     """
     _check_query(graph, source, k)
     graph._check_vertex(target)
@@ -191,6 +193,8 @@ def yen_pksp(graph: Graph, source: int, target: int, k: int,
         raise ValueError("source and target must differ")
     if tree is not None and tree.root != source:
         raise ValueError(f"tree is rooted at {tree.root}, not at {source}")
+    if tree is not None and tree.graph is not graph:
+        raise ValueError("tree was built for another graph")
     if graph.weighted:
         spur_path = partial(_sidetrack_spur, graph.in_adj,
                             tree or shortest_path_tree(graph, source))

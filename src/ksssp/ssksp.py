@@ -356,6 +356,14 @@ def super_saturate(v: int, graph: Graph, state: SolverState,
     return enqueued
 
 
+def _yen_subroutine(graph: Graph, root: int) -> PkspSubroutine:
+    """``yen_pksp``, sharing one forward tree from the root on weighted
+    graphs: the single-pair routine of ``bounded_ssksp`` and ``ss_yen``. Bound
+    per run, so a replaced ``ksssp.ssksp.yen_pksp`` sees each call."""
+    return partial(yen_pksp, tree=shortest_path_tree(graph, root)
+                   if graph.weighted else None)
+
+
 def bounded_ssksp(graph: Graph, root: int, k: int,
                   pksp: Optional[PkspSubroutine] = None,
                   progress: Optional[ProgressCallback] = None) -> SsKsspSolution:
@@ -367,12 +375,10 @@ def bounded_ssksp(graph: Graph, root: int, k: int,
     predecessor closure via ``super_saturate`` instead of extending. Normal
     insertions are at most k per arc and exceptional insertions at most k per
     vertex; the subroutine runs at most once per vertex. ``pksp`` defaults to
-    ``yen_pksp`` with one forward tree from the root on weighted graphs, bound
-    when the run starts, so a replaced ``ksssp.ssksp.yen_pksp`` sees each call.
+    ``_yen_subroutine``, the routine ``ss_yen`` runs.
     """
     if pksp is None:
-        tree = shortest_path_tree(graph, root) if graph.weighted else None
-        pksp = partial(yen_pksp, tree=tree)
+        pksp = _yen_subroutine(graph, root)
 
     def extend(path: Path, state: SolverState) -> bool:
         v = path.last
@@ -387,16 +393,16 @@ def bounded_ssksp(graph: Graph, root: int, k: int,
 
 def ss_yen(graph: Graph, root: int, k: int,
            progress: Optional[ProgressCallback] = None) -> SsKsspSolution:
-    """Baseline: one Yen call per target; weighted runs share one tree."""
+    """Baseline: one call per target of bounded's default subroutine."""
     _check_query(graph, root, k)
-    tree = shortest_path_tree(graph, root) if graph.weighted else None
+    pksp = _yen_subroutine(graph, root)
     stats = RunStats()
     collections: dict[int, list[Path]] = {}
     n = graph.vertex_count
     for v in range(n):
         if v == root:
             continue
-        collections[v] = yen_pksp(graph, root, v, k, tree=tree)
+        collections[v] = pksp(graph, root, v, k)
         stats.pksp_calls += 1
         if progress is not None:
             progress(stats.pksp_calls, n - 1 - stats.pksp_calls)

@@ -229,6 +229,20 @@ class TestVerify:
         assert code == EXIT_MISMATCH
         assert any(line.startswith("MISMATCH vertex") for line in lines)
 
+    def test_counter_violation_fails_verify(self, small_er_file, monkeypatch):
+        graph = load_graph_file(small_er_file)
+
+        def over_budget(g, root, k, progress=None):
+            solution = bounded_ssksp(g, root, k)
+            solution.stats.pksp_calls = g.vertex_count
+            return solution
+
+        monkeypatch.setitem(cli_mod.SOLVERS, "bounded", over_budget)
+        lines, code = run_verify(graph, 0, 2, ["bounded"])
+        assert code == EXIT_MISMATCH
+        assert lines == ["reference: oracle", "bounded: profiles equal",
+                         "VIOLATION bounded: pksp calls 14 exceed n-1"]
+
     def test_unknown_algo(self, small_er_file, capsys):
         assert main(["verify", "--graph", small_er_file, "--root", "0",
                      "--k", "1", "--algos", "bounded,magic"]) == EXIT_CONFIG
@@ -272,7 +286,7 @@ class TestBench:
     def test_bench_digest_matches_solve(self, small_er_file):
         graph = load_graph_file(small_er_file)
         records = bench_cell(graph, "er", 2, roots=[4], reps=2, timeout=60.0)
-        by_algo = {r.algorithm: r for r in records}
+        by_algo = {r.algo: r for r in records}
         direct = profile_digest(bounded_ssksp(graph, 4, 2))
         assert by_algo["bounded"].digest == direct
         assert by_algo["ss-yen"].digest == direct
@@ -289,10 +303,57 @@ class TestBench:
             == [(2.0, 1.0), (5.0, 4.0)]
         assert speedup_summary(records) == [("er", 2, 2.0 / 5.0)]
 
+    def test_repetitions_with_different_outputs_refused(self, small_er_file,
+                                                       monkeypatch):
+        graph = load_graph_file(small_er_file)
+        runs = [bounded_ssksp(graph, 1, 1), bounded_ssksp(graph, 1, 2)]
+        assert profile_digest(runs[0]) != profile_digest(runs[1])
+        outputs = iter(runs)
+        monkeypatch.setattr(cli_mod, "_timed_run",
+                            lambda *args: (1.0, next(outputs)))
+        with pytest.raises(RuntimeError, match="ss-yen produced different "
+                                               "outputs across repetitions"):
+            bench_cell(graph, "er", 2, roots=[1], reps=2)
+
+    def test_rows_pinned(self, small_er_file, monkeypatch, capsys):
+        # One full row (ss-yen) and one censored row (bounded), with the
+        # timer pinned: TSV cells and JSON values and key order are exact.
+        graph = load_graph_file(small_er_file)
+        solution = bounded_ssksp(graph, 3, 2)
+        s, digest = solution.stats, profile_digest(solution)
+        monkeypatch.setattr(
+            cli_mod, "_timed_run", lambda solver, *args:
+            (0.5, None) if solver is bounded_ssksp else (0.25, solution))
+        keys = ["graph", "algo", "k", "root", "seconds", "seconds_min",
+                "normal_ins", "exceptional_ins", "dequeues", "pksp_calls",
+                "digest"]
+        argv = ["bench", small_er_file, "--k", "2", "--roots", "1"]
+        assert main(argv) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        root = out[1].split("\t")[3]
+        counters = [s.normal_insertions, s.exceptional_insertions, s.dequeues,
+                    s.pksp_calls]
+        assert out == [
+            "\t".join(keys),
+            "\t".join([small_er_file, "ss-yen", "2", root, "0.250000",
+                       "0.250000", *map(str, counters), digest]),
+            "\t".join([small_er_file, "bounded", "2", root, "0.500000",
+                       "0.500000", "", "", "", "", "censored"]),
+            f"# speedup\t{small_er_file}\t2\tcensored"]
+        assert main(argv + ["--format", "json"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert [list(r.items()) for r in payload["records"]] == [
+            list(zip(keys, [small_er_file, "ss-yen", 2, int(root), 0.25, 0.25,
+                            *counters, digest])),
+            list(zip(keys, [small_er_file, "bounded", 2, int(root), 0.5, 0.5,
+                            None, None, None, None, "censored"]))]
+        assert payload["speedups"] == [
+            {"graph": small_er_file, "k": 2, "speedup": None}]
+
     def test_timeout_censors(self, small_er_file):
         graph = load_graph_file(small_er_file)
         records = bench_cell(graph, "er", 2, roots=[1], reps=1, timeout=0.0)
-        assert all(r.censored and r.digest == "censored" for r in records)
+        assert all(r.digest == "censored" for r in records)
         summary = speedup_summary(records)
         assert summary == [("er", 2, None)]
 

@@ -1,6 +1,7 @@
 import io
 import itertools
 import random
+import re
 
 import pytest
 
@@ -74,6 +75,21 @@ class TestLoadGraph:
         with pytest.raises(GraphFormatError, match="expected 2 fields"):
             load("p ksp 2 1 0 0\n0 1 1.0\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("# c\np ksp 2 one 1 1\n", "line 2: non-integer field in header"),
+        ("# c\np ksp 0 0 1 1\n", "line 2: header requires n >= 1, got 0"),
+        ("# c\np ksp 2 -1 1 1\n", "line 2: header requires m >= 0, got -1"),
+        ("# c\np ksp 2 0 2 1\n", "line 2: directed/weighted flags must be"),
+        ("# c\np ksp 2 0 1 -1\n", "line 2: directed/weighted flags must be"),
+        ("p ksp 3 2 1 1\n0 1 1.0\n0 b 1.0\n", "line 3: non-integer vertex id"),
+        ("p ksp 3 2 1 1\n0 1 1.0\n1 2 heavy\n",
+         "line 3: malformed weight 'heavy'"),
+    ], ids=["header-field", "n", "m", "directed-flag", "weighted-flag",
+            "vertex-id", "weight"])
+    def test_refusal_names_line(self, text, message):
+        with pytest.raises(GraphFormatError, match=f"^{re.escape(message)}"):
+            load(text)
+
     def test_zero_weight_allowed(self):
         g = load("p ksp 2 1 1 1\n0 1 0.0\n")
         assert g.edge_weight(0, 1) == 0.0
@@ -100,6 +116,14 @@ class TestLoadGraph:
 
 
 class TestGraphInit:
+    @pytest.mark.parametrize("n, weighted, edges, message", [
+        (-1, True, [], "vertex_count must be non-negative"),
+        (2, False, [(0, 1, 2.0)], "unweighted graph requires weight 1"),
+    ], ids=["negative-n", "unweighted-non-unit"])
+    def test_invalid_graph_rejected(self, n, weighted, edges, message):
+        with pytest.raises(ValueError, match=message):
+            Graph(n, True, weighted, edges)
+
     @pytest.mark.parametrize("weight", [float("nan"), float("inf"),
                                         pytest.param(10 ** 400, id="10**400")])
     def test_non_finite_weight_rejected(self, weight):

@@ -74,6 +74,14 @@ class TestQuery:
         with pytest.raises(ValueError):
             yen_pksp(TRIANGLE, 0, 2, 2, tree=tree)
         assert profile(yen_pksp(TRIANGLE, 1, 2, 2, tree=tree)) == (3.0,)
+        # A tree of another graph with the right root: its distances would
+        # steer g2's search to 0-1-2 (w=10) instead of 0-2 (w=5).
+        g1 = Graph(3, True, True, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 5.0)])
+        g2 = Graph(3, True, True, [(0, 1, 9.0), (1, 2, 1.0), (0, 2, 5.0)])
+        with pytest.raises(ValueError, match="another graph"):
+            yen_pksp(g2, 0, 2, 1, tree=shortest_path_tree(g1, 0))
+        assert profile(yen_pksp(g2, 0, 2, 1, tree=shortest_path_tree(g2, 0))) \
+            == (5.0,)
 
 
 class TestYen:

@@ -532,6 +532,15 @@ class AuditedQueue(RankedPathQueue):
         return path
 
 
+class InsertionOrderQueue(RankedPathQueue):
+    """Queue whose lane takes every path unchecked: it pops paths in
+    insertion order, whatever their weight."""
+
+    def enqueue(self, path, lane=False):
+        self._members.add(path)
+        self._lane.append(path)
+
+
 class TestQueueDiscipline:
     def test_all_enqueued_paths_simple_and_index_exact(self, monkeypatch):
         monkeypatch.setattr(ssksp_mod, "RankedPathQueue", AuditedQueue)
@@ -540,6 +549,16 @@ class TestQueueDiscipline:
                 SOLVERS[name](graph, root, k)
         inst = gen_pruned_adversarial(3)
         bounded_ssksp(inst.graph, inst.root, 3)
+
+    def test_out_of_order_dequeue_is_flagged(self, monkeypatch):
+        # The root's children 0-1 (1), 0-2 (3) and 0-3 (1) come out in
+        # insertion order, so 0-3 follows the heavier 0-2.
+        monkeypatch.setattr(ssksp_mod, "RankedPathQueue", InsertionOrderQueue)
+        g = TestSolutionStructure.FAULTY
+        sol = exh_ssksp(g, 0, 2)
+        assert not sol.stats.monotone_dequeues
+        assert "exh: dequeued weights were not non-decreasing" \
+            in solution_violations(g, sol, "exh")
 
     def test_dequeues_bounded_by_insertions(self):
         for graph, root, k in random_cases(15, seed=909, max_n=16):
@@ -624,6 +643,28 @@ class TestSolutionStructure:
         assert not solution_violations(g, sol, "bounded")
         sol.collections[2] = paths
         assert solution_violations(g, sol, "bounded") == [problem]
+
+    # FAULTY has n=4 and 6 arcs, so at k=2 the bounds are 12 normal
+    # insertions, 6 exceptional insertions and 3 subroutine calls.
+    @pytest.mark.parametrize("algo, field, value, problem", [
+        ("ss-yen", "monotone_dequeues", False,
+         "ss-yen: dequeued weights were not non-decreasing"),
+        ("bounded", "dequeues", 100, "bounded: more dequeues than insertions"),
+        ("bounded", "normal_insertions", 13,
+         "bounded: normal insertions 13 exceed k*arcs=12"),
+        ("bounded", "exceptional_insertions", 7,
+         "bounded: exceptional insertions 7 exceed k*(n-1)"),
+        ("bounded", "pksp_calls", 4, "bounded: pksp calls 4 exceed n-1"),
+        ("ss-yen", "pksp_calls", 2, "ss-yen: pksp calls 2 != n-1=3"),
+    ], ids=["monotone", "dequeues", "normal", "exceptional", "bounded-calls",
+            "ss-yen-calls"])
+    def test_each_counter_violation_is_reported(self, algo, field, value,
+                                                problem):
+        g = self.FAULTY
+        sol = SOLVERS[algo](g, 0, 2)
+        assert not solution_violations(g, sol, algo)
+        setattr(sol.stats, field, value)
+        assert solution_violations(g, sol, algo) == [problem]
 
     @staticmethod
     def _prefix_cases():
