@@ -28,7 +28,8 @@ class Graph:
     Adjacency lists are kept sorted by neighbor id so that traversal order,
     and hence every tie-broken output downstream, is deterministic. For
     undirected graphs both orientations of each edge are stored; ``in_adj``
-    is always the exact transpose of ``out_adj``.
+    is always the exact transpose of ``out_adj``, and on an undirected graph
+    it *is* ``out_adj``, the same list object. Neither may be mutated.
     """
 
     __slots__ = ("vertex_count", "directed", "weighted", "out_adj", "in_adj",
@@ -46,7 +47,9 @@ class Graph:
             raise ValueError("vertex_count must be non-negative")
         n = vertex_count
         out_adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        in_adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+        # A symmetric digraph is its own transpose: one list per vertex holds
+        # both orientations, and the appends below fill in both.
+        in_adj = [[] for _ in range(n)] if directed else out_adj
         weight_of: dict[tuple[int, int], float] = {}
         count = 0
         for u, v, w in edges:
@@ -66,19 +69,16 @@ class Graph:
             except OverflowError:   # an int beyond the float range
                 raise ValueError(f"edge ({u}, {v}): non-finite weight: "
                                  f"too large for a float") from None
-            if (u, v) in weight_of or (not directed and (v, u) in weight_of):
+            if (u, v) in weight_of:     # undirected: holds both orientations
                 raise ValueError(f"edge ({u}, {v}): duplicate edge")
             weight_of[(u, v)] = w
             out_adj[u].append((v, w))
             in_adj[v].append((u, w))
             if not directed:
                 weight_of[(v, u)] = w
-                out_adj[v].append((u, w))
-                in_adj[u].append((v, w))
             count += 1
-        for v in range(n):
-            out_adj[v].sort()
-            in_adj[v].sort()
+        for arcs in (out_adj + in_adj) if directed else out_adj:
+            arcs.sort()
         self.vertex_count = n
         self.directed = directed
         self.weighted = weighted
@@ -223,11 +223,8 @@ def induced_subgraph(graph: Graph, keep: Iterable[int]) -> tuple[Graph, IdMap]:
     for v in keep_sorted:
         graph._check_vertex(v)
     to_sub = {v: i for i, v in enumerate(keep_sorted)}
-    edges = []
-    for u in keep_sorted:
-        for v, w in graph.out_adj[u]:
-            if v in to_sub and (graph.directed or u < v):
-                edges.append((to_sub[u], to_sub[v], w))
+    edges = [(to_sub[u], to_sub[v], w) for u, v, w in graph.canonical_edges()
+             if u in to_sub and v in to_sub]
     sub = Graph(len(keep_sorted), graph.directed, graph.weighted, edges)
     return sub, IdMap(to_sub=to_sub, to_orig=keep_sorted)
 

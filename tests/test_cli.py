@@ -6,10 +6,10 @@ from pathlib import Path as FilePath
 import pytest
 
 import ksssp.cli as cli_mod
-from ksssp import (EnumerationCapExceeded, Path, bounded_ssksp,
-                   enumerate_all_simple_paths, gen_erdos_renyi,
-                   gen_exh_adversarial, load_graph, load_graph_file,
-                   shortest_path_tree, ss_yen)
+from ksssp import (EnumerationCapExceeded, Path, bounded_ssksp, dump_graph,
+                   enumerate_all_simple_paths, gen_barabasi_albert,
+                   gen_erdos_renyi, gen_exh_adversarial, load_graph,
+                   load_graph_file, shortest_path_tree, ss_yen)
 from ksssp.cli import (ConfigError, EXIT_CONFIG, EXIT_IO, EXIT_MISMATCH, EXIT_OK,
                        _render_tsv, bench_cell, main, profile_digest, run_solve,
                        run_verify, speedup_summary)
@@ -166,6 +166,11 @@ class TestGen:
         assert outs[0] == outs[1]
         assert outs[0].startswith("p ksp 100 300 0 0\n")
         assert len(outs[0].strip().splitlines()) == 301
+        assert main(["gen", "ba", "--n", "50", "--attach", "2",
+                     "--seed", "7"]) == EXIT_OK
+        expected = io.StringIO()
+        dump_graph(gen_barabasi_albert(50, 2, seed=7), expected)
+        assert capsys.readouterr().out == expected.getvalue()
 
     def test_pruned_adv_header_undirected_weighted(self, capsys):
         assert main(["gen", "pruned-adv", "--d", "3"]) == EXIT_OK
@@ -246,6 +251,19 @@ class TestVerify:
     def test_unknown_algo(self, small_er_file, capsys):
         assert main(["verify", "--graph", small_er_file, "--root", "0",
                      "--k", "1", "--algos", "bounded,magic"]) == EXIT_CONFIG
+        assert main(["verify", "--graph", small_er_file, "--root", "0",
+                     "--k", "1", "--algos", ","]) == EXIT_CONFIG
+        assert "no algorithms given" in capsys.readouterr().err
+
+    def test_enumeration_cap_refusal_hints_skip_oracle(self, small_er_file,
+                                                      monkeypatch, capsys):
+        def capped(graph, root, cap):
+            raise EnumerationCapExceeded(f"more than {cap} simple paths")
+
+        monkeypatch.setattr(cli_mod, "enumerate_all_simple_paths", capped)
+        assert main(["verify", "--graph", small_er_file, "--root", "0",
+                     "--k", "2"]) == EXIT_CONFIG
+        assert "use --skip-oracle on large graphs" in capsys.readouterr().err
 
     def test_enumeration_cap_checked_before_any_solver(self, monkeypatch):
         # 2**20 root-to-terminal paths: both the oracle's cap and exh's guard
@@ -412,6 +430,9 @@ class TestBench:
 
     def test_bad_k_list(self, small_er_file, capsys):
         assert main(["bench", small_er_file, "--k", "2,zero"]) == EXIT_CONFIG
+        for bad in ("0", ","):
+            assert main(["bench", small_er_file, "--k", bad]) == EXIT_CONFIG
+            assert f"bad k list {bad!r}" in capsys.readouterr().err
 
     def test_no_graph_files(self, capsys):
         assert main(["bench", "--k", "2"]) == EXIT_CONFIG

@@ -5,10 +5,10 @@ import re
 
 import pytest
 
-from ksssp import (Graph, GraphFormatError, dump_graph, enumerate_all_simple_paths,
-                   extract_largest_component, gen_barabasi_albert, gen_erdos_renyi,
-                   gen_exh_adversarial, gen_pruned_adversarial, induced_subgraph,
-                   load_graph)
+from ksssp import (Graph, GraphFormatError, IdMap, dump_graph,
+                   enumerate_all_simple_paths, extract_largest_component,
+                   gen_barabasi_albert, gen_erdos_renyi, gen_exh_adversarial,
+                   gen_pruned_adversarial, induced_subgraph, load_graph)
 from ksssp.graph import _decode_pair, _max_edges, _strongly_connected_components
 
 TRIANGLE = "p ksp 3 3 1 1\n0 1 2.0\n1 2 3.0\n0 2 10.0\n"
@@ -99,6 +99,8 @@ class TestLoadGraph:
         g = load_graph(io.StringIO(text), largest_component=True)
         assert g.vertex_count == 3
         assert g.edge_count == 2
+        empty = Graph(0, False, False, [])
+        assert extract_largest_component(empty) == (empty, IdMap({}, []))
 
     def test_largest_component_tie_goes_to_smallest_id(self):
         # 0 is isolated; {1, 3, 5} and {2, 4, 6} tie, and 1 is the smaller id
@@ -145,6 +147,7 @@ class TestNeighbors:
         g = load("p ksp 2 1 0 0\n0 1\n")
         assert g.out_adj[1] == [(0, 1.0)]
         assert g.in_adj[0] == [(1, 1.0)]
+        assert g.in_adj is g.out_adj
 
     def test_in_neighbors_directed(self):
         g = Graph(2, True, True, [(0, 1, 4.0)])
@@ -158,6 +161,18 @@ class TestNeighbors:
             out_arcs = {(u, v, w) for u in range(20) for v, w in g.out_adj[u]}
             in_arcs = {(u, v, w) for v in range(20) for u, w in g.in_adj[v]}
             assert out_arcs == in_arcs
+            assert (g.in_adj is g.out_adj) == (not g.directed)
+
+    def test_every_undirected_builder_shares_the_lists(self):
+        er = gen_erdos_renyi(30, 60, weighted=True, directed=False, seed=2)
+        graphs = [load("p ksp 3 2 0 1\n0 1 2.0\n2 1 1.0\n"), er,
+                  gen_barabasi_albert(30, 2, seed=1),
+                  gen_exh_adversarial(3).graph, gen_pruned_adversarial(2).graph,
+                  induced_subgraph(er, range(0, 30, 2))[0],
+                  extract_largest_component(er)[0]]
+        for g in graphs:
+            assert not g.directed
+            assert g.in_adj is g.out_adj
 
 
 class TestInducedSubgraph:
@@ -192,10 +207,15 @@ class TestInducedSubgraph:
             g = gen_erdos_renyi(18, 60, weighted=False, directed=directed,
                                 seed=trial)
             keep = set(rng.sample(range(18), rng.randint(1, 18)))
-            sub, _ = induced_subgraph(g, keep)
+            sub, ids = induced_subgraph(g, keep)
             expected = sum(1 for u, v, _ in g.canonical_edges()
                            if u in keep and v in keep)
             assert sub.edge_count == expected
+            assert ids.to_orig == sorted(keep)
+            new_id = {v: i for i, v in enumerate(ids.to_orig)}
+            assert sub.canonical_edges() == [
+                (new_id[u], new_id[v], w) for u, v, w in g.canonical_edges()
+                if u in keep and v in keep]
 
 
 class TestStronglyConnectedComponents:
@@ -256,6 +276,8 @@ class TestErdosRenyi:
     def test_infeasible_m(self):
         with pytest.raises(ValueError, match="infeasible"):
             gen_erdos_renyi(3, 4, weighted=False, directed=False, seed=0)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            gen_erdos_renyi(0, 0, weighted=False, directed=True, seed=0)
 
     def test_dense_directed_complete(self):
         g = gen_erdos_renyi(5, 20, weighted=False, directed=True, seed=1)
@@ -308,6 +330,8 @@ class TestDoublingLadder:
     def test_rejects_nonpositive_depth(self):
         with pytest.raises(ValueError):
             gen_exh_adversarial(0)
+        with pytest.raises(ValueError, match="d must be >= 1"):
+            gen_pruned_adversarial(0)
 
 
 class TestDetourLadder:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ksssp import (Graph, Path, enumerate_all_simple_paths,
+from ksssp import (Graph, Path, RankedPathQueue, enumerate_all_simple_paths,
                    gen_erdos_renyi, is_simple, profile)
 from ksssp.cli import run_solve
 
@@ -107,6 +107,25 @@ class TestFingerprint:
         a = base.extend_to(2, 1.0)
         b = base.extend_to(2, 1.0)
         assert a == b
+
+    @pytest.mark.parametrize("a_seq, b_seq", [
+        ((0, 1, 2, 3), (0, 1, 2, 4)),   # differ at the last vertex
+        ((0, 1, 5, 6), (0, 2, 5, 6)),   # differ only next to the root
+    ], ids=["last", "next-to-root"])
+    def test_forced_collision_compares_sequences(self, a_seq, b_seq):
+        # Equal length and fingerprint: only the vertex walk tells them apart.
+        def forced(seq):
+            prefix = chain_path(seq[:-1])
+            return Path(prefix, seq[-1], 3.0, len(seq), fingerprint=12345)
+
+        a, b = forced(a_seq), forced(b_seq)
+        assert a != b
+        assert len({a, b}) == 2
+        q = RankedPathQueue()
+        q.enqueue(a)
+        assert b not in q
+        q.enqueue(b)
+        assert q.member_count() == 2
 
 
 def chain_walk(path):
